@@ -30,7 +30,6 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
-	"sort"
 	"strings"
 
 	"sconrep/internal/analysis"
@@ -122,10 +121,11 @@ func main() {
 	}
 }
 
-// writeSchemaLock collects the gob-reachable schema from every listed
-// package, merges, and rewrites the committed lockfile.
+// writeSchemaLock collects the frame tables and gob-reachable structs
+// from every listed package, merges, and rewrites the committed
+// lockfile.
 func writeSchemaLock(loader *analysis.Loader, pkgs []listPkg) error {
-	merged := &analysis.Schema{Structs: map[string]*analysis.SchemaStruct{}}
+	merged := analysis.NewSchema()
 	for _, p := range pkgs {
 		files := make([]string, 0, len(p.GoFiles))
 		for _, f := range p.GoFiles {
@@ -146,18 +146,14 @@ func writeSchemaLock(loader *analysis.Loader, pkgs []listPkg) error {
 			return err
 		}
 	}
-	if len(merged.Structs) == 0 {
-		return fmt.Errorf("no gob-reachable wire structs found in the listed packages; refusing to write an empty %s", analysis.WireSchemaLockFile)
+	if len(merged.Frames) == 0 && len(merged.Structs) == 0 {
+		return fmt.Errorf("no frame tables or gob-reachable structs found in the listed packages; refusing to write an empty %s", analysis.WireSchemaLockFile)
 	}
 	if err := os.WriteFile(analysis.WireSchemaLockFile, merged.Format(), 0o644); err != nil {
 		return err
 	}
-	var names []string
-	for n := range merged.Structs {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	fmt.Printf("sconrep-vet: wrote %s (%d structs)\n", analysis.WireSchemaLockFile, len(names))
+	fmt.Printf("sconrep-vet: wrote %s (%d frame tables, %d gob structs)\n",
+		analysis.WireSchemaLockFile, len(merged.Frames), len(merged.Structs))
 	return nil
 }
 

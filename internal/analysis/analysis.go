@@ -18,8 +18,9 @@
 //     no global math/rand, no unannotated map iteration — and
 //     packages importing math/rand outside the seeded list are
 //     flagged as coverage gaps.
-//   - wirecompat: every struct reachable from a gob encode/decode
-//     call site must match the committed wire schema lock
+//   - wirecompat: every frame table of the binary wire codec, and
+//     every struct reachable from a gob encode/decode call site (the
+//     WAL), must match the committed wire schema lock
 //     (internal/wire/schema.lock), so protocol evolution that breaks
 //     legacy-peer interop is a reviewed diff, not an accident.
 //   - lockorder: the inter-mutex acquisition graph, built from

@@ -48,7 +48,10 @@ func TestDetCoverage(t *testing.T) {
 // TestWireCompat covers the acceptance mutants directly: the fixture
 // lock was written for an older revision of the package, so the
 // removed hello field, the type change, the unlocked additions, the
-// reorder, and the gob-hostile field shapes must each be reported.
+// reorder, and the gob-hostile field shapes must each be reported —
+// and, for frame tables, the removed, renumbered and retyped fields,
+// the unlocked field and table, the locked table that is gone, and
+// the entries that cannot be proven.
 func TestWireCompat(t *testing.T) {
 	saved := analysis.WireSchemaLockFile
 	analysis.WireSchemaLockFile = fixture("wirecompat") + "/schema.lock"
@@ -65,12 +68,15 @@ func TestLockOrder(t *testing.T) {
 // TestSchemaLockRoundTrip pins the lockfile codec: parsing a
 // formatted schema reproduces it byte-for-byte.
 func TestSchemaLockRoundTrip(t *testing.T) {
-	s := &analysis.Schema{Structs: map[string]*analysis.SchemaStruct{
-		"p.b": {Name: "p.b", Fields: []analysis.SchemaField{{Name: "X", Type: "map[string]uint64"}}},
-		"p.a": {Name: "p.a", Fields: []analysis.SchemaField{
-			{Name: "Seq", Type: "uint64"},
-			{Name: "WS", Type: "*p.ws"},
-		}},
+	s := analysis.NewSchema()
+	s.Structs["p.b"] = &analysis.SchemaStruct{Name: "p.b", Fields: []analysis.SchemaField{{Name: "X", Type: "map[string]uint64"}}}
+	s.Structs["p.a"] = &analysis.SchemaStruct{Name: "p.a", Fields: []analysis.SchemaField{
+		{Name: "Seq", Type: "uint64"},
+		{Name: "WS", Type: "*p.ws"},
+	}}
+	s.Frames["p.hello"] = &analysis.SchemaFrame{Name: "p.hello", Fields: []analysis.FrameField{
+		{Num: 1, Name: "Kind", Kind: "string"},
+		{Num: 3, Name: "Shards", Kind: "ints"},
 	}}
 	data := s.Format()
 	parsed, err := analysis.ParseSchemaLock(data)
@@ -84,8 +90,8 @@ func TestSchemaLockRoundTrip(t *testing.T) {
 
 // TestSuiteSilentOnCleanPackage runs all five analyzers over a
 // package with no TxnNames registry, no guard annotations, no
-// seeded-path registration, and no gob call sites: the suite must
-// stay quiet rather than speculate.
+// seeded-path registration, no gob call sites and no frame tables:
+// the suite must stay quiet rather than speculate.
 func TestSuiteSilentOnCleanPackage(t *testing.T) {
 	analysistest.Run(t, fixture("clean"), analysis.Analyzers()...)
 }

@@ -62,3 +62,50 @@ func roundTrip(w io.Writer, r io.Reader) {
 }
 
 var _ = roundTrip
+
+// Frame tables: the binary codec's per-frame field declarations. The
+// fixture lock was written for an older revision of these too: ping
+// lost its Legacy field, renumbered Seq and retyped Body, and gained
+// an unlocked Extra; pong is a new unlocked table; gone is locked but
+// no longer declared; broken carries entries the analyzer cannot
+// prove.
+
+type fieldKind string
+
+const (
+	kindUint   fieldKind = "uint"
+	kindString fieldKind = "string"
+	kindBytes  fieldKind = "bytes"
+)
+
+type frameTable struct {
+	name   string
+	fields []fieldSpec
+}
+
+type fieldSpec struct {
+	num  uint64
+	name string
+	kind fieldKind
+}
+
+var pingTable = frameTable{name: "ping", fields: []fieldSpec{ // want `wire field wirecompat\.ping\.Legacy \(3 uint\) was removed or renamed` `locked frame wirecompat\.gone has no frame table`
+	{1, "Kind", kindString},
+	{4, "Seq", kindUint},     // want `wire field wirecompat\.ping\.Seq renumbered 2 -> 4`
+	{5, "Body", kindBytes},   // want `wire field wirecompat\.ping\.Body changed kind string -> bytes`
+	{6, "Extra", kindString}, // want `new wire field wirecompat\.ping\.Extra \(6 string\) is not locked`
+}}
+
+var pongTable = &frameTable{name: "pong", fields: []fieldSpec{ // want `frame table wirecompat\.pong is not locked`
+	{num: 1, name: "Seq", kind: kindUint},
+}}
+
+var dynamicNum uint64 = 2
+
+var brokenTable = frameTable{name: "broken", fields: []fieldSpec{
+	{1, "A", kindUint},
+	{dynamicNum, "B", kindUint}, // want `field table entry needs a constant number, name and kind`
+	{1, "C", kindUint},          // want `fields A and C share field number 1`
+}}
+
+var _, _, _ = pingTable, pongTable, brokenTable

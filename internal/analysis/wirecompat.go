@@ -6,7 +6,9 @@ import (
 	"go/token"
 	"go/types"
 	"os"
+	"slices"
 	"sort"
+	"strconv"
 	"strings"
 )
 
@@ -15,58 +17,79 @@ import (
 // The fixture tests point it at per-fixture lock files.
 var WireSchemaLockFile = "internal/wire/schema.lock"
 
-// WireCompat locks the module's gob wire schema. Every struct
-// reachable from a gob Encode/Decode call site — the protocol hellos,
-// request/response envelopes, refresh batches, and WAL records, plus
-// everything their fields reach (writesets, span contexts, SQL
-// results, commit results) — is part of the upgrade contract: the
-// paper's "bargain" survives rolling upgrades only because legacy
-// peers can gob-skip fields they do not know and zero-fill fields they
-// never received. The analyzer derives the canonical schema (struct,
-// field order, field name, gob-visible type) from the type-checked
-// tree and diffs it against the committed lockfile
-// (internal/wire/schema.lock):
+// WireCompat locks the module's wire schema. Two encodings are
+// covered:
 //
-//   - a field present in the lock but not in the code was removed or
+//   - frame tables: every package-level frameTable literal (the binary
+//     wire codec's per-frame declaration of field number, name and
+//     kind; see internal/wire/codec.go) is read statically — the
+//     field numbers, names and kinds must be constants — and diffed
+//     against the lock. Fields travel as tagged values, so a legacy
+//     peer skips fields it does not know and zero-fills fields it
+//     never received, but only while a field keeps its number and its
+//     kind:
+//   - a locked field that is gone from the table was removed or
 //     renamed — legacy peers still send it, and data they expect back
-//     silently vanishes: Error until the lock is regenerated;
-//   - a field whose gob-visible type changed decodes wrong or not at
-//     all across versions: Error;
-//   - a new field not yet in the lock is gob-safe mechanically (old
-//     decoders skip it, new decoders zero-fill it when absent) but its
-//     ZERO VALUE must be a correct "legacy peer" reading: Warning
-//     until reviewed and locked;
-//   - chan/func fields break gob encoding at runtime, unexported
-//     fields and non-empty interface fields travel only partially or
-//     not at all: flagged regardless of the lock.
+//     silently vanishes: Error;
+//   - a locked field whose number changed is read by legacy peers as
+//     a different field: Error;
+//   - a locked field whose kind changed decodes wrong or not at all
+//     across versions: Error;
+//   - a locked frame whose table is gone breaks every legacy peer
+//     that sends it: Error;
+//   - a new field or frame not yet in the lock is mechanically safe,
+//     but its ZERO VALUE must be a correct "legacy peer" reading:
+//     Warning until reviewed and locked;
+//   - two fields sharing a number, or an entry that is not a constant,
+//     cannot be proven: Error.
+//   - gob structs: every struct reachable from a gob Encode/Decode call
+//     site (today the WAL record and what it reaches) is part of the
+//     on-disk contract. The analyzer derives the canonical schema
+//     (struct, field order, field name, gob-visible type) from the
+//     type-checked tree and diffs it the same way: a removed or
+//     retyped field is an Error, a new field a Warning, and
+//     chan/func fields, unexported fields and non-empty interface
+//     fields are flagged regardless of the lock.
 //
 // Intentional evolution is a reviewed diff: `sconrep-vet
 // -update-schema` regenerates the lockfile.
 //
-// Root discovery follows the data, not a hand-kept list: direct
+// Gob root discovery follows the data, not a hand-kept list: direct
 // gob.Encoder.Encode / gob.Decoder.Decode arguments with concrete
 // struct types seed the walk, and a package-local fixpoint marks
-// "sink" parameters (an `any` parameter that flows into a gob call,
-// like connPool.call's req/resp or frameWriter.encode's v) so the
-// concrete envelopes passed through wrappers are found too. Arguments
-// whose static type never resolves to a concrete struct (e.g. a hello
-// stored in an `any` field) are skipped — every such value in this
-// codebase also crosses a typed call site.
+// "sink" parameters (an `any` parameter that flows into a gob call)
+// so concrete values passed through wrappers are found too. Arguments
+// whose static type never resolves to a concrete struct are skipped.
 var WireCompat = &Analyzer{
 	Name: "wirecompat",
-	Doc:  "structs reachable from gob call sites must match the committed wire schema lock",
+	Doc:  "wire frame tables and gob-reachable structs must match the committed wire schema lock",
 	Run:  runWireCompat,
 }
 
-// Schema is the canonical gob-visible shape of every wire-reachable
-// struct, keyed by qualified name ("sconrep/internal/wal.Record").
+// Schema is the locked wire schema: frame tables and gob structs, each
+// keyed by qualified name ("sconrep/internal/wire.certHello",
+// "sconrep/internal/wal.Record").
 type Schema struct {
+	Frames  map[string]*SchemaFrame
 	Structs map[string]*SchemaStruct
 }
 
-// SchemaStruct is one struct's locked shape; Fields are in declaration
-// order (gob matches by name, but order changes are still surfaced as
-// reviewable diffs).
+// SchemaFrame is one frame table's locked fields, in table order.
+type SchemaFrame struct {
+	Name   string
+	Fields []FrameField
+}
+
+// FrameField is one frame table entry.
+type FrameField struct {
+	Num  uint64
+	Name string
+	Kind string
+}
+
+// SchemaStruct is one gob struct's locked shape; Fields are in
+// declaration order (gob matches by name, but order changes are still
+// surfaced as reviewable diffs).
 type SchemaStruct struct {
 	Name   string
 	Fields []SchemaField
@@ -79,17 +102,28 @@ type SchemaField struct {
 	Type string
 }
 
+// NewSchema returns an empty schema.
+func NewSchema() *Schema {
+	return &Schema{Frames: map[string]*SchemaFrame{}, Structs: map[string]*SchemaStruct{}}
+}
+
+func (s *Schema) empty() bool { return len(s.Frames) == 0 && len(s.Structs) == 0 }
+
 // sortedNames returns the schema's struct names in canonical order.
 func (s *Schema) sortedNames() []string {
-	names := make([]string, 0, len(s.Structs))
-	for n := range s.Structs {
+	return sortedKeys(s.Structs)
+}
+
+func sortedKeys[V any](m map[string]V) []string {
+	names := make([]string, 0, len(m))
+	for n := range m {
 		names = append(names, n)
 	}
 	sort.Strings(names)
 	return names
 }
 
-// Merge folds other into s, verifying that structs reachable from
+// Merge folds other into s, verifying that entries reachable from
 // several packages (e.g. writeset.WriteSet from both wire and wal)
 // derived identical schemas.
 func (s *Schema) Merge(other *Schema) error {
@@ -99,13 +133,18 @@ func (s *Schema) Merge(other *Schema) error {
 			s.Structs[name] = st
 			continue
 		}
-		if len(prev.Fields) != len(st.Fields) {
+		if !slices.Equal(prev.Fields, st.Fields) {
 			return fmt.Errorf("wire schema for %s differs between packages", name)
 		}
-		for i := range prev.Fields {
-			if prev.Fields[i] != st.Fields[i] {
-				return fmt.Errorf("wire schema for %s differs between packages", name)
-			}
+	}
+	for name, fr := range other.Frames {
+		prev, ok := s.Frames[name]
+		if !ok {
+			s.Frames[name] = fr
+			continue
+		}
+		if !slices.Equal(prev.Fields, fr.Fields) {
+			return fmt.Errorf("frame table %s declared twice with different fields", name)
 		}
 	}
 	return nil
@@ -114,11 +153,18 @@ func (s *Schema) Merge(other *Schema) error {
 // Format renders the schema in the committed lockfile format.
 func (s *Schema) Format() []byte {
 	var b strings.Builder
-	b.WriteString("# sconrep wire schema lock — the canonical gob-visible schema of every\n")
-	b.WriteString("# struct reachable from the module's gob encode/decode call sites.\n")
+	b.WriteString("# sconrep wire schema lock: every frame table of the binary wire codec\n")
+	b.WriteString("# (field number, name, kind) and the gob-visible schema of every struct\n")
+	b.WriteString("# reachable from the module's gob encode/decode call sites (the WAL).\n")
 	b.WriteString("# Regenerate after intentional protocol evolution with:\n")
 	b.WriteString("#   go run ./cmd/sconrep-vet -update-schema ./...\n")
 	b.WriteString("# Reviewed by the wirecompat analyzer; see DESIGN.md \"Protocol-safety analysis\".\n")
+	for _, name := range sortedKeys(s.Frames) {
+		fmt.Fprintf(&b, "frame %s\n", name)
+		for _, f := range s.Frames[name].Fields {
+			fmt.Fprintf(&b, "  %d %s %s\n", f.Num, f.Name, f.Kind)
+		}
+	}
 	for _, name := range s.sortedNames() {
 		st := s.Structs[name]
 		fmt.Fprintf(&b, "struct %s\n", name)
@@ -131,8 +177,9 @@ func (s *Schema) Format() []byte {
 
 // ParseSchemaLock parses a lockfile produced by Format.
 func ParseSchemaLock(data []byte) (*Schema, error) {
-	s := &Schema{Structs: map[string]*SchemaStruct{}}
-	var cur *SchemaStruct
+	s := NewSchema()
+	var st *SchemaStruct
+	var fr *SchemaFrame
 	for ln, line := range strings.Split(string(data), "\n") {
 		line = strings.TrimRight(line, " \t\r")
 		trimmed := strings.TrimSpace(line)
@@ -140,50 +187,73 @@ func ParseSchemaLock(data []byte) (*Schema, error) {
 			continue
 		}
 		if name, ok := strings.CutPrefix(line, "struct "); ok {
-			cur = &SchemaStruct{Name: name}
-			s.Structs[name] = cur
+			st, fr = &SchemaStruct{Name: name}, nil
+			s.Structs[name] = st
 			continue
 		}
-		if cur == nil {
-			return nil, fmt.Errorf("schema lock line %d: field entry before any struct", ln+1)
+		if name, ok := strings.CutPrefix(line, "frame "); ok {
+			st, fr = nil, &SchemaFrame{Name: name}
+			s.Frames[name] = fr
+			continue
 		}
 		parts := strings.SplitN(trimmed, " ", 3)
 		if len(parts) != 3 {
-			return nil, fmt.Errorf("schema lock line %d: want \"<index> <name> <type>\", got %q", ln+1, trimmed)
+			return nil, fmt.Errorf("schema lock line %d: want \"<number> <name> <type>\", got %q", ln+1, trimmed)
 		}
-		cur.Fields = append(cur.Fields, SchemaField{Name: parts[1], Type: parts[2]})
+		switch {
+		case st != nil:
+			st.Fields = append(st.Fields, SchemaField{Name: parts[1], Type: parts[2]})
+		case fr != nil:
+			num, err := strconv.ParseUint(parts[0], 10, 64)
+			if err != nil {
+				return nil, fmt.Errorf("schema lock line %d: field number %q: %v", ln+1, parts[0], err)
+			}
+			fr.Fields = append(fr.Fields, FrameField{Num: num, Name: parts[1], Kind: parts[2]})
+		default:
+			return nil, fmt.Errorf("schema lock line %d: field entry before any frame or struct", ln+1)
+		}
 	}
 	return s, nil
 }
 
 // CollectSchema derives the package's wire schema without diffing it —
 // the `-update-schema` path. Field-shape diagnostics (chan/func,
-// non-empty interface, unexported fields) are discarded here; the next
-// plain run reports them.
+// non-empty interface, unexported fields, non-constant table entries)
+// are discarded here; the next plain run reports them.
 func CollectSchema(pkg *Package, fset *token.FileSet) (*Schema, error) {
 	w := newSchemaWalker(pkg.Files, pkg.Pkg, pkg.Info, func(Diagnostic) {})
-	return w.collect(), nil
+	schema := w.collect()
+	for _, ft := range collectFrameTables(pkg.Files, pkg.Pkg, pkg.Info, func(Diagnostic) {}) {
+		schema.Frames[ft.name] = ft.frame
+	}
+	return schema, nil
 }
 
 func runWireCompat(pass *Pass) error {
 	w := newSchemaWalker(pass.Files, pass.Pkg, pass.Info, pass.Report)
 	schema := w.collect()
-	if len(schema.Structs) == 0 {
-		return nil // no gob call sites in this package
+	tables := collectFrameTables(pass.Files, pass.Pkg, pass.Info, pass.Report)
+	if schema.empty() && len(tables) == 0 {
+		return nil // no gob call sites or frame tables in this package
+	}
+	anchor := w.firstRootPos
+	if len(tables) > 0 {
+		anchor = tables[0].pos
 	}
 	data, err := os.ReadFile(WireSchemaLockFile)
 	if err != nil {
-		pass.Reportf(w.firstRootPos, Error,
+		pass.Reportf(anchor, Error,
 			"wire schema lock %s not readable (%v): run `sconrep-vet -update-schema` to create it",
 			WireSchemaLockFile, err)
 		return nil
 	}
 	lock, err := ParseSchemaLock(data)
 	if err != nil {
-		pass.Reportf(w.firstRootPos, Error, "wire schema lock %s: %v", WireSchemaLockFile, err)
+		pass.Reportf(anchor, Error, "wire schema lock %s: %v", WireSchemaLockFile, err)
 		return nil
 	}
 	diffSchemas(pass, w, schema, lock)
+	diffFrameTables(pass, tables, lock)
 	return nil
 }
 
@@ -269,7 +339,7 @@ func orderChanged(code, locked []SchemaField) bool {
 }
 
 // schemaWalker discovers gob roots and walks the reachable type
-// closure into a Schema.
+// closure into a Schema's gob structs.
 type schemaWalker struct {
 	files  []*ast.File
 	pkg    *types.Package
@@ -295,7 +365,7 @@ func newSchemaWalker(files []*ast.File, pkg *types.Package, info *types.Info, re
 		info:    info,
 		report:  report,
 		roots:   map[*types.Named]token.Pos{},
-		schema:  &Schema{Structs: map[string]*SchemaStruct{}},
+		schema:  NewSchema(),
 		anchors: map[string]token.Pos{},
 		fields:  map[string]token.Pos{},
 		visited: map[*types.Named]bool{},
@@ -534,7 +604,7 @@ func (w *schemaWalker) typeString(t types.Type, pos token.Pos, path string) stri
 		return "func"
 	case *types.Interface:
 		if t.Empty() {
-			return "any" // row values; concrete scalars are gob.Register'd in wire's init
+			return "any" // row values; gob registers the basic scalar types itself
 		}
 		w.report(Diagnostic{Pos: pos, Severity: Warning, Message: fmt.Sprintf(
 			"wire field %s is a non-empty interface: it travels only via gob.Register'd concrete types — prefer a concrete field", path)})

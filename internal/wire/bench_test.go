@@ -1,41 +1,39 @@
 package wire
 
 import (
-	"encoding/gob"
+	"bufio"
 	"fmt"
 	"io"
-	"net"
+	"log"
+	"os"
 	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"sconrep/internal/certifier"
+	"sconrep/internal/core"
 	"sconrep/internal/shard"
 	"sconrep/internal/writeset"
 )
 
 // BenchmarkWireRefreshStream measures end-to-end refresh delivery over
 // a real TCP subscription link: certify on the server side, consume
-// the replica-side queue — once per stream codec. The gob number
-// reflects the frame batching (one frame per mailbox Take, never per
-// refresh) and the pooled encode buffers; the binary number adds the
-// zero-copy length-prefixed codec the subscription negotiates by
-// default.
+// the replica-side queue. The number reflects the frame batching (one
+// frame per mailbox Take, never per refresh), the pooled encode
+// buffers and the zero-copy binary codec.
 func BenchmarkWireRefreshStream(b *testing.B) {
-	for _, codec := range []string{RefreshCodecGob, RefreshCodecBinary} {
-		b.Run(codec, func(b *testing.B) { benchRefreshStream(b, codec) })
-	}
+	b.Run("binary", benchRefreshStream)
 }
 
-func benchRefreshStream(b *testing.B, codec string) {
+func benchRefreshStream(b *testing.B) {
 	cert := certifier.New()
 	srv, err := ServeCertifier(cert, "127.0.0.1:0")
 	if err != nil {
 		b.Fatal(err)
 	}
 	defer srv.Close()
-	cli := DialCertifier(srv.Addr(), 1, 0, WithRefreshCodec(codec))
+	cli := DialCertifier(srv.Addr(), 1, 0)
 	defer cli.Close()
 	q := cli.Subscribe(1)
 
@@ -130,14 +128,8 @@ func benchPartialSubscription(b *testing.B, shards []int) {
 	}
 	defer srv.Close()
 
-	conn, err := net.Dial("tcp", srv.Addr())
-	if err != nil {
-		b.Fatal(err)
-	}
+	conn, _ := rawSubscribe(b, srv.Addr(), certHello{Kind: "sub", ReplicaID: 1, Shards: shards})
 	defer conn.Close()
-	if err := gob.NewEncoder(conn).Encode(certHello{Kind: "sub", ReplicaID: 1, Shards: shards}); err != nil {
-		b.Fatal(err)
-	}
 	deadline := time.Now().Add(5 * time.Second)
 	for len(cert.Replicas()) == 0 {
 		if time.Now().After(deadline) {
@@ -147,11 +139,10 @@ func benchPartialSubscription(b *testing.B, shards []int) {
 	}
 
 	// A realistic row payload so the full-writeset versus skip-marker
-	// gap dominates gob's fixed framing.
+	// gap dominates the fixed framing.
 	row := []any{strings.Repeat("v", 96), int64(7), strings.Repeat("w", 32)}
 	var read atomic.Int64
-	cr := &countingReader{r: conn, n: &read}
-	dec := gob.NewDecoder(cr)
+	br := bufio.NewReader(&countingReader{r: conn, n: &read})
 	done := make(chan error, 1)
 	last := uint64(b.N)
 
@@ -161,7 +152,7 @@ func benchPartialSubscription(b *testing.B, shards []int) {
 		var seen, trimmed uint64
 		for seen < last {
 			var batch refreshBatch
-			if err := dec.Decode(&batch); err != nil {
+			if err := recvFrame(br, &batch); err != nil {
 				done <- err
 				return
 			}
@@ -197,7 +188,7 @@ func benchPartialSubscription(b *testing.B, shards []int) {
 	b.ReportMetric(float64(read.Load())/float64(b.N), "bytes/refresh")
 }
 
-// countingReader counts the bytes a gob decoder pulls off the link.
+// countingReader counts the bytes the frame reader pulls off the link.
 type countingReader struct {
 	r io.Reader
 	n *atomic.Int64
@@ -207,4 +198,38 @@ func (c *countingReader) Read(p []byte) (int, error) {
 	n, err := c.r.Read(p)
 	c.n.Add(int64(n))
 	return n, err
+}
+
+// BenchmarkWireRoundTrip measures one client transaction through the
+// whole TCP path: client → gateway → replica begin, a one-row key read,
+// and commit, over loopback. Every process runs in this one, so B/op
+// and allocs/op count both ends of both links.
+func BenchmarkWireRoundTrip(b *testing.B) {
+	// The certifier logs its start-version adoption as the replica
+	// attaches; keep that line out of the benchmark's result line.
+	log.SetOutput(io.Discard)
+	defer log.SetOutput(os.Stderr)
+	d := newDeployment(b, 1, core.Coarse)
+	c, err := Dial(d.gateway.Addr(), "bench")
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer c.Close()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := c.Begin(""); err != nil {
+			b.Fatal(err)
+		}
+		res, err := c.Exec(`SELECT v FROM kv WHERE k = ?`, int64(i%10))
+		if err != nil {
+			b.Fatal(err)
+		}
+		if len(res.Rows) != 1 {
+			b.Fatalf("read %d rows, want 1", len(res.Rows))
+		}
+		if _, _, err := c.Commit(); err != nil {
+			b.Fatal(err)
+		}
+	}
 }

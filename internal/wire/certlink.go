@@ -2,7 +2,6 @@ package wire
 
 import (
 	"bufio"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"log"
@@ -18,43 +17,43 @@ import (
 	"sconrep/internal/writeset"
 )
 
-// Certifier-link protocol. Every connection starts with certHello;
-// Kind selects streaming ("sub") or request/response ("req").
+// Certifier-link protocol. Every connection starts with the preamble
+// and a certHello; Kind selects streaming ("sub") or request/response
+// ("req").
 type certHello struct {
 	Kind      string // "sub" or "req"
 	ReplicaID int
 	VLocal    uint64 // replica's durable version, for StartAt adoption
-	// Codec is the refresh-stream codec the subscriber offers (empty =
-	// gob). A server that understands the offer accepts it by making its
-	// first stream frame a gob refreshBatch{Codec: ...} marker; gob
-	// skips unknown fields in both directions, so legacy peers on
-	// either side silently keep the gob stream.
-	Codec string
 	// Shards restricts the refresh subscription to the listed
 	// certification shards (nil or empty = all). Versions certified
 	// entirely elsewhere arrive as skip markers — refreshes with a nil
 	// writeset — keeping the replica's version order contiguous at a
-	// fraction of the bytes. Legacy peers on either side degrade to the
-	// full stream: an old server never decodes the field, an old client
-	// never sets it.
+	// fraction of the bytes.
 	Shards []int
 }
+
+// Field 4 carried the retired refresh-codec offer; it is never reused.
+var certHelloTable = frameTable{name: "certHello", fields: []fieldSpec{
+	{1, "Kind", kindString},
+	{2, "ReplicaID", kindInt},
+	{3, "VLocal", kindUint},
+	{5, "Shards", kindInts},
+}}
 
 // certRequest is the request envelope on "req" connections; exactly
 // one field group is set per call.
 type certRequest struct {
 	// Seq numbers requests per connection; see seqGuard.
 	Seq uint64
-	Op  string // "certify", "applied", "history", "globalwait", "version", "unsubscribe"
+	Op  string // "certify", "applied", "history", "globalwait", "version", "tablevers", "unsubscribe"
 
 	// certify
 	Origin   int
 	TxnID    uint64
 	Snapshot uint64
 	WS       *writeset.WriteSet
-	// Trace is the committing span's context — an optional frame-header
-	// extension; peers that predate tracing leave it zero and gob lets
-	// older servers skip it entirely.
+	// Trace is the committing span's context — optional; untraced
+	// commits leave it zero.
 	Trace dtrace.SpanContext
 
 	// applied / globalwait / unsubscribe
@@ -66,10 +65,23 @@ type certRequest struct {
 	// Shards filters the history page like a partial subscription
 	// filters the stream: entries certified entirely outside these
 	// shards come back as skip markers (nil writeset). Nil = full
-	// fidelity; legacy servers ignore the field and return full pages,
-	// which is correct, just larger.
+	// fidelity.
 	Shards []int
 }
+
+var certRequestTable = frameTable{name: "certRequest", fields: []fieldSpec{
+	{1, "Seq", kindUint},
+	{2, "Op", kindString},
+	{3, "Origin", kindInt},
+	{4, "TxnID", kindUint},
+	{5, "Snapshot", kindUint},
+	{6, "WS", kindWriteSet},
+	{7, "Trace", kindSpan},
+	{8, "ReplicaID", kindInt},
+	{9, "Version", kindUint},
+	{10, "After", kindUint},
+	{11, "Shards", kindInts},
+}}
 
 // certResponse is the response envelope.
 type certResponse struct {
@@ -83,18 +95,184 @@ type certResponse struct {
 	TableVers map[string]uint64
 }
 
+var certResponseTable = frameTable{name: "certResponse", fields: []fieldSpec{
+	{1, "Seq", kindUint},
+	{2, "Err", kindString},
+	{3, "Decision", kindDecision},
+	{4, "History", kindRefreshes},
+	{5, "Version", kindUint},
+	{6, "TableVers", kindTableVers},
+}}
+
 func (r *certRequest) setSeq(n uint64) { r.Seq = n }
 func (r *certResponse) seq() uint64    { return r.Seq }
 
-// refreshBatch is pushed on "sub" connections.
+// refreshBatch is pushed on "sub" connections, one frame per mailbox
+// Take.
 type refreshBatch struct {
 	Refreshes []certifier.Refresh
-	// Codec, on the first frame of a stream only, accepts the
-	// subscriber's offered codec: every subsequent frame on this
-	// connection is in that codec (binary length-prefixed frames for
-	// codecBinary), not gob. Empty on legacy servers, which keeps the
-	// whole stream gob.
-	Codec string
+}
+
+// Field 2 carried the retired refresh-codec accept marker; it is never
+// reused.
+var refreshBatchTable = frameTable{name: "refreshBatch", fields: []fieldSpec{
+	{1, "Refreshes", kindRefreshes},
+}}
+
+func (m *certHello) appendPayload(b []byte) ([]byte, error) {
+	b = appendStringField(b, 1, m.Kind)
+	b = appendIntField(b, 2, m.ReplicaID)
+	b = appendUintField(b, 3, m.VLocal)
+	return appendIntsField(b, 5, m.Shards), nil
+}
+
+func (m *certHello) parsePayload(p []byte) error {
+	d := payloadReader{p: p}
+	for d.more() {
+		num, wt, err := d.tag()
+		if err != nil {
+			return err
+		}
+		switch num {
+		case 1:
+			m.Kind, err = d.stringField(wt)
+		case 2:
+			m.ReplicaID, err = d.intField(wt)
+		case 3:
+			m.VLocal, err = d.uintField(wt)
+		case 5:
+			m.Shards, err = d.intsField(wt)
+		default:
+			err = d.skip(wt)
+		}
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+func (r *certRequest) appendPayload(b []byte) ([]byte, error) {
+	b = appendUintField(b, 1, r.Seq)
+	b = appendStringField(b, 2, r.Op)
+	b = appendIntField(b, 3, r.Origin)
+	b = appendUintField(b, 4, r.TxnID)
+	b = appendUintField(b, 5, r.Snapshot)
+	b, err := appendWriteSetField(b, 6, r.WS)
+	if err != nil {
+		return nil, err
+	}
+	b = appendSpanField(b, 7, r.Trace)
+	b = appendIntField(b, 8, r.ReplicaID)
+	b = appendUintField(b, 9, r.Version)
+	b = appendUintField(b, 10, r.After)
+	return appendIntsField(b, 11, r.Shards), nil
+}
+
+func (r *certRequest) parsePayload(p []byte) error {
+	d := payloadReader{p: p}
+	for d.more() {
+		num, wt, err := d.tag()
+		if err != nil {
+			return err
+		}
+		switch num {
+		case 1:
+			r.Seq, err = d.uintField(wt)
+		case 2:
+			r.Op, err = d.stringField(wt)
+		case 3:
+			r.Origin, err = d.intField(wt)
+		case 4:
+			r.TxnID, err = d.uintField(wt)
+		case 5:
+			r.Snapshot, err = d.uintField(wt)
+		case 6:
+			r.WS, err = d.writeSetField(wt)
+		case 7:
+			r.Trace, err = d.spanField(wt)
+		case 8:
+			r.ReplicaID, err = d.intField(wt)
+		case 9:
+			r.Version, err = d.uintField(wt)
+		case 10:
+			r.After, err = d.uintField(wt)
+		case 11:
+			r.Shards, err = d.intsField(wt)
+		default:
+			err = d.skip(wt)
+		}
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+func (r *certResponse) appendPayload(b []byte) ([]byte, error) {
+	b = appendUintField(b, 1, r.Seq)
+	b = appendStringField(b, 2, r.Err)
+	b = appendDecisionField(b, 3, r.Decision)
+	b, err := appendRefreshesField(b, 4, r.History)
+	if err != nil {
+		return nil, err
+	}
+	b = appendUintField(b, 5, r.Version)
+	return appendTableVersField(b, 6, r.TableVers), nil
+}
+
+func (r *certResponse) parsePayload(p []byte) error {
+	d := payloadReader{p: p}
+	for d.more() {
+		num, wt, err := d.tag()
+		if err != nil {
+			return err
+		}
+		switch num {
+		case 1:
+			r.Seq, err = d.uintField(wt)
+		case 2:
+			r.Err, err = d.stringField(wt)
+		case 3:
+			r.Decision, err = d.decisionField(wt)
+		case 4:
+			r.History, err = d.refreshesField(wt)
+		case 5:
+			r.Version, err = d.uintField(wt)
+		case 6:
+			r.TableVers, err = d.tableVersField(wt)
+		default:
+			err = d.skip(wt)
+		}
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+func (m *refreshBatch) appendPayload(b []byte) ([]byte, error) {
+	return appendRefreshesField(b, 1, m.Refreshes)
+}
+
+func (m *refreshBatch) parsePayload(p []byte) error {
+	d := payloadReader{p: p}
+	for d.more() {
+		num, wt, err := d.tag()
+		if err != nil {
+			return err
+		}
+		switch num {
+		case 1:
+			m.Refreshes, err = d.refreshesField(wt)
+		default:
+			err = d.skip(wt)
+		}
+		if err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // CertServer exposes a certifier on a TCP listener.
@@ -210,22 +388,24 @@ func (s *CertServer) handle(c net.Conn) {
 		return
 	}
 	defer s.untrack(c)
-	dec := gob.NewDecoder(c)
-	fw := newFrameWriter(c)
-	defer fw.release()
 	if d := s.opts.to.Idle; d > 0 {
 		c.SetReadDeadline(time.Now().Add(d))
 	}
+	br, release, err := acceptConn(c, certPreamble)
+	if err != nil {
+		return
+	}
+	defer release()
 	var hello certHello
-	if err := dec.Decode(&hello); err != nil {
+	if err := recvFrame(br, &hello); err != nil {
 		return
 	}
 	s.maybeAdopt(hello)
 	switch hello.Kind {
 	case "sub":
-		s.streamRefreshes(c, fw, hello)
+		s.streamRefreshes(c, hello)
 	case "req":
-		s.serveRequests(c, dec, fw)
+		s.serveRequests(c, br)
 	}
 }
 
@@ -244,11 +424,11 @@ func (s *CertServer) maybeAdopt(h certHello) {
 	}
 }
 
-// streamRefreshes pumps the subscription to the replica, one gob frame
+// streamRefreshes pumps the subscription to the replica, one frame
 // per Take batch — never per refresh. The mailbox coalesces bursts, so
 // a backlogged replica receives a few large frames instead of a frame
 // per committed transaction.
-func (s *CertServer) streamRefreshes(c net.Conn, fw *frameWriter, hello certHello) {
+func (s *CertServer) streamRefreshes(c net.Conn, hello certHello) {
 	replicaID := hello.ReplicaID
 	s.mu.Lock()
 	s.streamGen[replicaID]++
@@ -259,18 +439,16 @@ func (s *CertServer) streamRefreshes(c net.Conn, fw *frameWriter, hello certHell
 	// The stream only writes; reads would block forever, so drop the
 	// hello deadline.
 	c.SetReadDeadline(time.Time{})
-	// Codec negotiation: accept exactly the binary token (anything else
-	// — including future codecs this build predates — degrades to gob).
-	// The accept marker is itself a gob frame, so a modern client that
-	// reached a legacy server simply never sees one.
-	binFrames := hello.Codec == codecBinary
-	if binFrames {
-		if d := s.opts.to.Call; d > 0 {
-			c.SetWriteDeadline(time.Now().Add(d))
-		}
-		if err := fw.encode(refreshBatch{Codec: codecBinary}); err != nil {
-			return
-		}
+	// The first frame is empty: it tells the subscriber the
+	// subscription is attached, so every version certified from here on
+	// reaches this stream and a serve floor learned after it bounds a
+	// gap-free backfill.
+	var frame refreshBatch
+	if d := s.opts.to.Call; d > 0 {
+		c.SetWriteDeadline(time.Now().Add(d))
+	}
+	if err := writeFrame(c, nil, &frame); err != nil {
+		return
 	}
 	for {
 		batch, ok := sub.Take()
@@ -280,13 +458,8 @@ func (s *CertServer) streamRefreshes(c net.Conn, fw *frameWriter, hello certHell
 		if d := s.opts.to.Call; d > 0 {
 			c.SetWriteDeadline(time.Now().Add(d))
 		}
-		var err error
-		if binFrames {
-			err = writeRefreshFrame(fw.bw, batch)
-		} else {
-			err = fw.encode(refreshBatch{Refreshes: batch})
-		}
-		if err != nil {
+		frame.Refreshes = batch
+		if err := writeFrame(c, nil, &frame); err != nil {
 			return
 		}
 	}
@@ -321,14 +494,19 @@ func (s *CertServer) releaseStream(replicaID, gen int, sub *certifier.Subscripti
 	})
 }
 
-func (s *CertServer) serveRequests(c net.Conn, dec *gob.Decoder, fw *frameWriter) {
+func (s *CertServer) serveRequests(c net.Conn, br *bufio.Reader) {
 	var guard seqGuard
+	// One request and one response per connection, reused: exchanges
+	// are serial, and only the decoded writeset (its own allocation)
+	// outlives one.
+	var req certRequest
+	var resp certResponse
 	for {
 		if d := s.opts.to.Idle; d > 0 {
 			c.SetReadDeadline(time.Now().Add(d))
 		}
-		var req certRequest
-		if err := dec.Decode(&req); err != nil {
+		req = certRequest{}
+		if err := recvFrame(br, &req); err != nil {
 			return
 		}
 		if !guard.ok(req.Seq) {
@@ -339,11 +517,13 @@ func (s *CertServer) serveRequests(c net.Conn, dec *gob.Decoder, fw *frameWriter
 		reqs := s.obsReqs
 		s.mu.Unlock()
 		reqs.With(req.Op).Inc()
-		var resp certResponse
-		resp.Seq = req.Seq
+		resp = certResponse{Seq: req.Seq}
 		switch req.Op {
 		case "certify":
-			d, err := s.cert.CertifyCtx(req.Origin, req.TxnID, req.Snapshot, cloneWS(req.WS), req.Trace)
+			// The certifier keeps the writeset in its history. It was
+			// decoded into fresh storage; its strings alias the request
+			// frame, which holds little besides the writeset itself.
+			d, err := s.cert.CertifyCtx(req.Origin, req.TxnID, req.Snapshot, req.WS, req.Trace)
 			if err != nil {
 				resp.Err = err.Error()
 			}
@@ -366,7 +546,7 @@ func (s *CertServer) serveRequests(c net.Conn, dec *gob.Decoder, fw *frameWriter
 		if d := s.opts.to.Call; d > 0 {
 			c.SetWriteDeadline(time.Now().Add(d))
 		}
-		if err := fw.encode(&resp); err != nil {
+		if err := writeFrame(c, nil, &resp); err != nil {
 			return
 		}
 	}
@@ -435,19 +615,19 @@ func DialCertifier(addr string, replicaID int, vlocal uint64, opts ...Option) *C
 	// restarted without its decision log adopts from the first hello it
 	// sees, and adopting a stale version would hand out already-used
 	// commit versions (crashing every replica past the stale point).
-	hello := func() any {
+	hello := func() outFrame {
 		v := vlocal
 		if o.vlocalFn != nil {
 			v = o.vlocalFn()
 		}
-		return certHello{Kind: "req", ReplicaID: replicaID, VLocal: v}
+		return &certHello{Kind: "req", ReplicaID: replicaID, VLocal: v}
 	}
 	c := &CertClient{
 		addr:      addr,
 		replicaID: replicaID,
 		vlocal:    vlocal,
 		opts:      o,
-		pool:      newConnPool(addr, hello, o.dialer(addr), o.to),
+		pool:      newConnPool(addr, certPreamble, hello, o.dialer(addr), o.to),
 		closed:    make(chan struct{}),
 	}
 	c.downSince.Store(time.Now().UnixNano())
@@ -605,18 +785,30 @@ func (c *CertClient) runStream(gen int, q *refreshQueue) bool {
 	if c.opts.vlocalFn != nil {
 		from = c.opts.vlocalFn()
 	}
-	enc := gob.NewEncoder(conn)
+	pre, err := preamble(certPreamble, &certHello{Kind: "sub", ReplicaID: c.replicaID, VLocal: from, Shards: c.opts.shards})
+	if err != nil {
+		return false
+	}
 	if d := c.opts.to.Call; d > 0 {
 		conn.SetWriteDeadline(time.Now().Add(d))
 	}
-	hello := certHello{Kind: "sub", ReplicaID: c.replicaID, VLocal: from, Shards: c.opts.shards}
-	if c.opts.refreshCodec != RefreshCodecGob {
-		hello.Codec = codecBinary
-	}
-	if err := enc.Encode(hello); err != nil {
+	if _, err := conn.Write(pre); err != nil {
 		return false
 	}
 	conn.SetWriteDeadline(time.Time{})
+	// Wait for the server's attach frame before learning the serve
+	// floor: a version certified after the hello but before the
+	// subscription attached would otherwise reach neither the stream
+	// nor the backfill, and the replica would wait for it forever.
+	br := bufio.NewReader(conn)
+	if d := c.opts.to.Call; d > 0 {
+		conn.SetReadDeadline(time.Now().Add(d))
+	}
+	var attached refreshBatch
+	if err := recvFrame(br, &attached); err != nil {
+		return false
+	}
+	conn.SetReadDeadline(time.Time{})
 
 	// The serve floor must be learned before this replica serves again:
 	// every version the certifier has assigned so far may already be
@@ -632,8 +824,7 @@ func (c *CertClient) runStream(gen int, q *refreshQueue) bool {
 	}
 	// History is paged (certifier.MaxHistoryBatch per response): loop
 	// until the backfill reaches the serve floor or the certifier's
-	// pages run dry. Against a legacy server the first page carries the
-	// whole suffix and the loop exits after one round trip.
+	// pages run dry.
 	for after := from; after < ver.Version; {
 		hist, err := c.callRetry(certRequest{Op: "history", After: after, Shards: c.opts.shards}, c.opts.to.Call, c.opts.backoff.Max)
 		if err != nil {
@@ -648,43 +839,19 @@ func (c *CertClient) runStream(gen int, q *refreshQueue) bool {
 
 	c.streamUp.Store(true)
 	defer c.streamDown()
-	// One bufio reader feeds both the gob decoder and the binary frame
-	// reader: gob given an io.ByteReader reads exactly one message per
-	// Decode (no lookahead buffering of its own), so after the accept
-	// marker the binary frames start at the reader's current position.
-	br := bufio.NewReader(conn)
-	dec := gob.NewDecoder(br)
-	binFrames, first := false, true
 	for {
 		if d := c.opts.to.Idle; d > 0 {
 			conn.SetReadDeadline(time.Now().Add(d))
 		}
-		var batch []certifier.Refresh
-		if binFrames {
-			b, err := readRefreshFrame(br)
-			if err != nil {
-				return true
-			}
-			batch = b
-		} else {
-			var fr refreshBatch
-			if err := dec.Decode(&fr); err != nil {
-				return true
-			}
-			if first && fr.Codec == codecBinary {
-				// The server accepted the binary offer; every following
-				// frame on this connection is binary. A legacy server
-				// never sets Codec, leaving the stream on gob.
-				binFrames = true
-			}
-			batch = fr.Refreshes
+		var frame refreshBatch
+		if err := recvFrame(br, &frame); err != nil {
+			return true
 		}
-		first = false
 		if !c.subscribed(gen) {
 			return true
 		}
-		if len(batch) > 0 {
-			q.push(batch)
+		if len(frame.Refreshes) > 0 {
+			q.push(frame.Refreshes)
 		}
 	}
 }

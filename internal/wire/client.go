@@ -1,7 +1,7 @@
 package wire
 
 import (
-	"encoding/gob"
+	"bufio"
 	"fmt"
 	"net"
 	"sync/atomic"
@@ -15,10 +15,13 @@ import (
 // transaction at a time.
 type Client struct {
 	conn net.Conn
-	enc  *gob.Encoder
-	dec  *gob.Decoder
+	br   *bufio.Reader
 	to   Timeouts
 	seq  uint64
+	// req / resp are the session's exchange, reused across its serial
+	// calls; a response is valid until the next call.
+	req  clientRequest
+	resp clientResponse
 	// broken is set on any transport error: the session's gateway state
 	// is unknown and the caller must reconnect with a fresh session.
 	broken atomic.Bool
@@ -31,11 +34,16 @@ func Dial(addr, sessionID string, opts ...Option) (*Client, error) {
 	if err != nil {
 		return nil, fmt.Errorf("wire: dial gateway %s: %w", addr, err)
 	}
-	c := &Client{conn: conn, enc: gob.NewEncoder(conn), dec: gob.NewDecoder(conn), to: o.to}
+	c := &Client{conn: conn, br: bufio.NewReader(conn), to: o.to}
+	pre, err := preamble(clientPreamble, &clientHello{SessionID: sessionID})
+	if err != nil {
+		conn.Close()
+		return nil, err
+	}
 	if d := o.to.Call; d > 0 {
 		conn.SetWriteDeadline(time.Now().Add(d))
 	}
-	if err := c.enc.Encode(clientHello{SessionID: sessionID}); err != nil {
+	if _, err := conn.Write(pre); err != nil {
 		conn.Close()
 		return nil, fmt.Errorf("wire: hello: %w", err)
 	}
@@ -56,19 +64,21 @@ func (c *Client) call(req clientRequest) (*clientResponse, error) {
 		return nil, fmt.Errorf("wire: session broken, reconnect")
 	}
 	c.seq++
-	req.Seq = c.seq
+	c.req = req
+	c.req.Seq = c.seq
 	if d := c.to.Call; d > 0 {
 		c.conn.SetWriteDeadline(time.Now().Add(d))
 	}
-	if err := c.enc.Encode(&req); err != nil {
+	if err := writeFrame(c.conn, nil, &c.req); err != nil {
 		c.broken.Store(true)
 		return nil, fmt.Errorf("wire: send: %w", err)
 	}
 	if d := c.to.Call; d > 0 {
 		c.conn.SetReadDeadline(time.Now().Add(d))
 	}
-	var resp clientResponse
-	if err := c.dec.Decode(&resp); err != nil {
+	resp := &c.resp
+	*resp = clientResponse{}
+	if err := recvFrame(c.br, resp); err != nil {
 		c.broken.Store(true)
 		return nil, fmt.Errorf("wire: recv: %w", err)
 	}
@@ -79,9 +89,9 @@ func (c *Client) call(req clientRequest) (*clientResponse, error) {
 	c.conn.SetDeadline(time.Time{})
 	if resp.Err != "" {
 		fake := replicaResponse{Err: resp.Err, ErrCode: resp.ErrCode}
-		return &resp, decodeErr(&fake)
+		return resp, decodeErr(&fake)
 	}
-	return &resp, nil
+	return resp, nil
 }
 
 // RegisterTxn declares a named transaction's table-set at the gateway
@@ -129,7 +139,10 @@ func (c *Client) BeginTablesTxCtx(tables []string, sc dtrace.SpanContext) (snaps
 	return resp.Snapshot, nil
 }
 
-// Exec runs one SQL statement in the open transaction.
+// Exec runs one SQL statement in the open transaction. The result's
+// strings share one buffer, the response frame; a caller that keeps a
+// few values from a large result long-term should copy them
+// (strings.Clone) so they do not pin the rest.
 func (c *Client) Exec(query string, params ...any) (*sql.Result, error) {
 	resp, err := c.call(clientRequest{Op: "exec", SQL: query, Params: params})
 	if err != nil {

@@ -1,10 +1,10 @@
 package wire
 
 import (
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"net"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -17,11 +17,17 @@ import (
 	"sconrep/internal/sql"
 )
 
-// Client-link protocol (application ⇄ gateway).
+// Client-link protocol (application ⇄ gateway). The client opens the
+// connection with the preamble and a clientHello, then sends one
+// clientRequest per clientResponse.
 
 type clientHello struct {
 	SessionID string
 }
+
+var clientHelloTable = frameTable{name: "clientHello", fields: []fieldSpec{
+	{1, "SessionID", kindString},
+}}
 
 type clientRequest struct {
 	// Seq numbers requests per connection; see seqGuard.
@@ -35,14 +41,25 @@ type clientRequest struct {
 	// begin
 	TxnName string
 	// Trace is the client-side root span's context, propagated through
-	// the lb route and the replica begin. Optional frame-header
-	// extension: old clients never set it, old gateways skip it.
+	// the lb route and the replica begin. Optional: untraced clients
+	// leave it zero, which the gateway reads as "no parent".
 	Trace dtrace.SpanContext
 
 	// exec
 	SQL    string
 	Params []any
 }
+
+var clientRequestTable = frameTable{name: "clientRequest", fields: []fieldSpec{
+	{1, "Seq", kindUint},
+	{2, "Op", kindString},
+	{3, "Name", kindString},
+	{4, "Tables", kindStrings},
+	{5, "TxnName", kindString},
+	{6, "Trace", kindSpan},
+	{7, "SQL", kindString},
+	{8, "Params", kindValues},
+}}
 
 type clientResponse struct {
 	Seq     uint64
@@ -56,6 +73,138 @@ type clientResponse struct {
 	ReadOnly    bool
 	WriteTables []string
 	ReadTables  []string
+}
+
+var clientResponseTable = frameTable{name: "clientResponse", fields: []fieldSpec{
+	{1, "Seq", kindUint},
+	{2, "Err", kindString},
+	{3, "ErrCode", kindString},
+	{4, "Result", kindResult},
+	{5, "Snapshot", kindUint},
+	{6, "Version", kindUint},
+	{7, "ReadOnly", kindBool},
+	{8, "WriteTables", kindStrings},
+	{9, "ReadTables", kindStrings},
+}}
+
+func (m *clientHello) appendPayload(b []byte) ([]byte, error) {
+	return appendStringField(b, 1, m.SessionID), nil
+}
+
+func (m *clientHello) parsePayload(p []byte) error {
+	d := payloadReader{p: p}
+	for d.more() {
+		num, wt, err := d.tag()
+		if err != nil {
+			return err
+		}
+		switch num {
+		case 1:
+			m.SessionID, err = d.stringField(wt)
+		default:
+			err = d.skip(wt)
+		}
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+func (m *clientRequest) appendPayload(b []byte) ([]byte, error) {
+	b = appendUintField(b, 1, m.Seq)
+	b = appendStringField(b, 2, m.Op)
+	b = appendStringField(b, 3, m.Name)
+	b = appendStringsField(b, 4, m.Tables)
+	b = appendStringField(b, 5, m.TxnName)
+	b = appendSpanField(b, 6, m.Trace)
+	b = appendStringField(b, 7, m.SQL)
+	return appendValuesField(b, 8, m.Params)
+}
+
+func (m *clientRequest) parsePayload(p []byte) error {
+	d := payloadReader{p: p}
+	for d.more() {
+		num, wt, err := d.tag()
+		if err != nil {
+			return err
+		}
+		switch num {
+		case 1:
+			m.Seq, err = d.uintField(wt)
+		case 2:
+			m.Op, err = d.stringField(wt)
+		case 3:
+			m.Name, err = d.stringField(wt)
+		case 4:
+			m.Tables, err = d.stringsField(wt)
+		case 5:
+			m.TxnName, err = d.stringField(wt)
+		case 6:
+			m.Trace, err = d.spanField(wt)
+		case 7:
+			m.SQL, err = d.stringField(wt)
+		case 8:
+			m.Params, err = d.valuesField(wt)
+		default:
+			err = d.skip(wt)
+		}
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+func (m *clientResponse) appendPayload(b []byte) ([]byte, error) {
+	b = appendUintField(b, 1, m.Seq)
+	b = appendStringField(b, 2, m.Err)
+	b = appendStringField(b, 3, m.ErrCode)
+	b, err := appendResultField(b, 4, m.Result)
+	if err != nil {
+		return nil, err
+	}
+	b = appendUintField(b, 5, m.Snapshot)
+	b = appendUintField(b, 6, m.Version)
+	b = appendBoolField(b, 7, m.ReadOnly)
+	b = appendStringsField(b, 8, m.WriteTables)
+	return appendStringsField(b, 9, m.ReadTables), nil
+}
+
+func (m *clientResponse) parsePayload(p []byte) error {
+	d := payloadReader{p: p}
+	for d.more() {
+		num, wt, err := d.tag()
+		if err != nil {
+			return err
+		}
+		switch num {
+		case 1:
+			m.Seq, err = d.uintField(wt)
+		case 2:
+			m.Err, err = d.stringField(wt)
+		case 3:
+			m.ErrCode, err = d.stringField(wt)
+		case 4:
+			m.Result, err = d.resultField(wt)
+		case 5:
+			m.Snapshot, err = d.uintField(wt)
+		case 6:
+			m.Version, err = d.uintField(wt)
+		case 7:
+			m.ReadOnly, err = d.boolField(wt)
+		case 8:
+			m.WriteTables, err = d.stringsField(wt)
+		case 9:
+			m.ReadTables, err = d.stringsField(wt)
+		default:
+			err = d.skip(wt)
+		}
+		if err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // Gateway is the networked load balancer: it accepts client sessions,
@@ -178,6 +327,17 @@ type gatewaySession struct {
 	replica *remoteReplica
 	txnID   uint64
 	open    bool
+	// rreq / rresp are the session's replica exchange, reused across
+	// its serial calls.
+	rreq  replicaRequest
+	rresp replicaResponse
+}
+
+// call sends req to rr through the session's reusable exchange; the
+// response is valid until the session's next call.
+func (s *gatewaySession) call(rr *remoteReplica, req replicaRequest) (*replicaResponse, error) {
+	s.rreq = req
+	return rr.call(&s.rreq, &s.rresp)
 }
 
 func (g *Gateway) handle(c net.Conn) {
@@ -194,46 +354,55 @@ func (g *Gateway) handle(c net.Conn) {
 		delete(g.conns, c)
 		g.mu.Unlock()
 	}()
-	dec := gob.NewDecoder(c)
-	fw := newFrameWriter(c)
-	defer fw.release()
-	var hello clientHello
-	if err := dec.Decode(&hello); err != nil {
+	br, release, err := acceptConn(c, clientPreamble)
+	if err != nil {
 		return
 	}
-	sess := &gatewaySession{id: hello.SessionID}
+	defer release()
+	var hello clientHello
+	if err := recvFrame(br, &hello); err != nil {
+		return
+	}
+	// The session ID keys the balancer's session state for the whole
+	// session; copy it out of the hello frame.
+	sess := &gatewaySession{id: strings.Clone(hello.SessionID)}
 	g.sessions.Add(1)
 	defer g.sessions.Add(-1)
 	defer func() {
 		if sess.open {
-			_, _ = sess.replica.call(&replicaRequest{Op: "abort", TxnID: sess.txnID})
+			_, _ = sess.call(sess.replica, replicaRequest{Op: "abort", TxnID: sess.txnID})
 			sess.replica.active.Add(-1)
 		}
 		g.balancer.EndSession(sess.id)
 	}()
 	var guard seqGuard
+	// One request and one response per session, reused: the session is
+	// serial, and nothing keeps either past its exchange.
+	var req clientRequest
+	var resp clientResponse
 	for {
-		var req clientRequest
-		if err := dec.Decode(&req); err != nil {
+		req = clientRequest{}
+		if err := recvFrame(br, &req); err != nil {
 			return
 		}
 		if !guard.ok(req.Seq) {
 			return
 		}
-		resp := g.dispatch(sess, &req)
+		g.dispatch(sess, &req, &resp)
 		resp.Seq = req.Seq
-		if err := fw.encode(resp); err != nil {
+		if err := writeFrame(c, nil, &resp); err != nil {
 			return
 		}
 	}
 }
 
-func (g *Gateway) dispatch(sess *gatewaySession, req *clientRequest) *clientResponse {
+// dispatch serves one request, filling resp.
+func (g *Gateway) dispatch(sess *gatewaySession, req *clientRequest, resp *clientResponse) *clientResponse {
 	g.mu.Lock()
 	reqs := g.obsReqs
 	g.mu.Unlock()
 	reqs.With(req.Op).Inc()
-	resp := &clientResponse{}
+	*resp = clientResponse{}
 	fail := func(err error) *clientResponse {
 		resp.Err = err.Error()
 		resp.ErrCode = errCode(err)
@@ -241,7 +410,9 @@ func (g *Gateway) dispatch(sess *gatewaySession, req *clientRequest) *clientResp
 	}
 	switch req.Op {
 	case "register":
-		g.balancer.RegisterTxn(req.Name, req.Tables)
+		// The registry keeps the name and table-set for good; copy them
+		// out of the request frame.
+		g.balancer.RegisterTxn(strings.Clone(req.Name), cloneStrings(req.Tables))
 	case "begin":
 		if sess.open {
 			return fail(errors.New("wire: transaction already open on this session"))
@@ -265,7 +436,7 @@ func (g *Gateway) dispatch(sess *gatewaySession, req *clientRequest) *clientResp
 		if !downstream.Valid() {
 			downstream = route.Trace
 		}
-		r, err := rr.call(&replicaRequest{Op: "begin", MinVersion: route.MinVersion, Trace: downstream})
+		r, err := sess.call(rr, replicaRequest{Op: "begin", MinVersion: route.MinVersion, Trace: downstream})
 		if err != nil {
 			rr.active.Add(-1)
 			return fail(err)
@@ -278,7 +449,7 @@ func (g *Gateway) dispatch(sess *gatewaySession, req *clientRequest) *clientResp
 		if !sess.open {
 			return fail(errors.New("wire: no open transaction"))
 		}
-		r, err := sess.replica.call(&replicaRequest{Op: "exec", TxnID: sess.txnID, SQL: req.SQL, Params: req.Params})
+		r, err := sess.call(sess.replica, replicaRequest{Op: "exec", TxnID: sess.txnID, SQL: req.SQL, Params: req.Params})
 		if err != nil {
 			if errors.Is(err, replica.ErrEarlyAbort) || errors.Is(err, replica.ErrCertifyConflict) || errors.Is(err, replica.ErrCrashed) {
 				sess.open = false
@@ -294,10 +465,12 @@ func (g *Gateway) dispatch(sess *gatewaySession, req *clientRequest) *clientResp
 		sess.open = false
 		sess.replica.active.Add(-1)
 		eager := g.balancer.Mode() == core.Eager
-		r, err := sess.replica.call(&replicaRequest{Op: "commit", TxnID: sess.txnID, Eager: eager})
+		r, err := sess.call(sess.replica, replicaRequest{Op: "commit", TxnID: sess.txnID, Eager: eager})
 		if err != nil {
 			return fail(err)
 		}
+		// The tracker may keep written table names as map keys.
+		r.Commit.WrittenTables = cloneStrings(r.Commit.WrittenTables)
 		g.balancer.ObserveCommit(sess.id, r.Commit)
 		resp.Version = r.Commit.Version
 		resp.ReadOnly = r.Commit.ReadOnly
@@ -308,7 +481,7 @@ func (g *Gateway) dispatch(sess *gatewaySession, req *clientRequest) *clientResp
 		if sess.open {
 			sess.open = false
 			sess.replica.active.Add(-1)
-			_, _ = sess.replica.call(&replicaRequest{Op: "abort", TxnID: sess.txnID})
+			_, _ = sess.call(sess.replica, replicaRequest{Op: "abort", TxnID: sess.txnID})
 		}
 	default:
 		return fail(fmt.Errorf("wire: unknown client op %q", req.Op))

@@ -1,9 +1,12 @@
 package wire
 
 import (
+	"bufio"
 	"encoding/gob"
+	"errors"
 	"fmt"
 	"net"
+	"os"
 	"testing"
 	"time"
 
@@ -20,17 +23,27 @@ import (
 func TestCallDeadlineOnStalledPeer(t *testing.T) {
 	client, server := net.Pipe()
 	defer server.Close()
+	drained := make(chan error, 1)
 	go func() {
-		// Drain the hello and the first request, then go silent.
-		dec := gob.NewDecoder(server)
+		// Drain the preamble, hello and first request, then go silent.
+		br, release, err := acceptConn(server, certPreamble)
+		if err != nil {
+			drained <- err
+			return
+		}
+		defer release()
 		var h certHello
-		_ = dec.Decode(&h)
 		var req certRequest
-		_ = dec.Decode(&req)
+		if err := recvFrame(br, &h); err != nil {
+			drained <- err
+			return
+		}
+		drained <- recvFrame(br, &req)
 		select {} // stall forever; Close from the deferred cleanup frees us
 	}()
 	dial := func(network, addr string) (net.Conn, error) { return client, nil }
-	p := newConnPool("stalled", certHello{Kind: "req"}, dial, Timeouts{Call: 100 * time.Millisecond})
+	hello := func() outFrame { return &certHello{Kind: "req"} }
+	p := newConnPool("stalled", certPreamble, hello, dial, Timeouts{Call: 100 * time.Millisecond})
 	start := time.Now()
 	var resp certResponse
 	err := p.call(&certRequest{Op: "version"}, &resp)
@@ -39,6 +52,9 @@ func TestCallDeadlineOnStalledPeer(t *testing.T) {
 	}
 	if elapsed := time.Since(start); elapsed > 2*time.Second {
 		t.Fatalf("deadline took %s to fire", elapsed)
+	}
+	if err := <-drained; err != nil {
+		t.Fatalf("stalled peer could not read the request: %v", err)
 	}
 }
 
@@ -49,7 +65,8 @@ func TestCallDeadlineOnDeafPeer(t *testing.T) {
 	client, server := net.Pipe()
 	defer server.Close()
 	dial := func(network, addr string) (net.Conn, error) { return client, nil }
-	p := newConnPool("deaf", certHello{Kind: "req"}, dial, Timeouts{Call: 100 * time.Millisecond})
+	hello := func() outFrame { return &certHello{Kind: "req"} }
+	p := newConnPool("deaf", certPreamble, hello, dial, Timeouts{Call: 100 * time.Millisecond})
 	start := time.Now()
 	var resp certResponse
 	err := p.call(&certRequest{Op: "version"}, &resp)
@@ -71,26 +88,116 @@ func TestSeqGuardDropsDuplicatedFrame(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	enc := gob.NewEncoder(conn)
-	dec := gob.NewDecoder(conn)
-	if err := enc.Encode(&replicaRequest{Seq: 1, Op: "status"}); err != nil {
+	frame, err := appendFrame(nil, &replicaRequest{Seq: 1, Op: "status"})
+	if err != nil {
 		t.Fatal(err)
 	}
+	if _, err := conn.Write(append([]byte(replicaPreamble), frame...)); err != nil {
+		t.Fatal(err)
+	}
+	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	br := bufio.NewReader(conn)
 	var resp replicaResponse
-	if err := dec.Decode(&resp); err != nil {
+	if err := recvFrame(br, &resp); err != nil {
 		t.Fatal(err)
 	}
 	if resp.Seq != 1 || resp.Crashed {
 		t.Fatalf("status = %+v", resp)
 	}
-	// Replay the same sequence number: the server must drop the
+	// Replay the byte-identical frame: the server must drop the
 	// connection without serving it.
-	if err := enc.Encode(&replicaRequest{Seq: 1, Op: "status"}); err != nil {
+	if _, err := conn.Write(frame); err != nil {
 		t.Fatal(err)
 	}
-	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
-	if err := dec.Decode(&resp); err == nil {
+	if err := recvFrame(br, &resp); err == nil {
 		t.Fatal("duplicated frame was served instead of dropping the connection")
+	} else if errors.Is(err, os.ErrDeadlineExceeded) {
+		t.Fatal("duplicated frame left the connection open instead of dropping it")
+	}
+}
+
+// TestGobClientFailsFast: a client from a build that still spoke gob
+// must get an error at its first frame, not hang on a gateway that
+// misreads its bytes as a frame length.
+func TestGobClientFailsFast(t *testing.T) {
+	d := newDeployment(t, 1, core.Coarse)
+	conn, err := net.Dial("tcp", d.gateway.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	conn.SetDeadline(time.Now().Add(5 * time.Second))
+	enc, dec := gob.NewEncoder(conn), gob.NewDecoder(conn)
+	type legacyHello struct{ SessionID string }
+	type legacyRequest struct {
+		Seq uint64
+		Op  string
+	}
+	if err := enc.Encode(legacyHello{SessionID: "gob"}); err != nil {
+		t.Fatal(err)
+	}
+	// The gateway may already have closed the connection; the request
+	// write can fail too. Either way the read must fail, and promptly.
+	_ = enc.Encode(&legacyRequest{Seq: 1, Op: "begin"})
+	var resp struct{ Seq uint64 }
+	err = dec.Decode(&resp)
+	if err == nil {
+		t.Fatal("gob client got a response from the binary gateway")
+	}
+	if errors.Is(err, os.ErrDeadlineExceeded) {
+		t.Fatal("gob client hung until its deadline instead of failing at its first frame")
+	}
+}
+
+// TestWrongProtocolFailsFast: every protocol has its own preamble, so
+// a refresh subscriber that reaches a gateway (a stale address, a port
+// reused after a restart) errors at once. With one shared preamble the
+// gateway would read the subscription hello as a client hello and both
+// ends would wait on each other.
+func TestWrongProtocolFailsFast(t *testing.T) {
+	d := newDeployment(t, 1, core.Coarse)
+	conn, br := rawSubscribe(t, d.gateway.Addr(), certHello{Kind: "sub", ReplicaID: 1})
+	defer conn.Close()
+	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	var batch refreshBatch
+	err := recvFrame(br, &batch)
+	if err == nil {
+		t.Fatal("a gateway served a refresh stream")
+	}
+	if errors.Is(err, os.ErrDeadlineExceeded) {
+		t.Fatal("subscriber hung on a gateway instead of failing at its first frame")
+	}
+}
+
+// TestBinaryClientFailsFastOnGobServer is the other direction: a
+// current client reaching a server that still speaks gob errors out
+// (the preamble's first byte is one gob rejects) instead of hanging.
+func TestBinaryClientFailsFastOnGobServer(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	go func() {
+		c, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		defer c.Close()
+		var hello struct{ SessionID string }
+		_ = gob.NewDecoder(c).Decode(&hello) // fails on the preamble
+	}()
+	c, err := Dial(ln.Addr().String(), "s", WithTimeouts(Timeouts{Call: 5 * time.Second}))
+	if err != nil {
+		return // refused at the hello: also a clean failure
+	}
+	defer c.Close()
+	err = c.Begin("")
+	if err == nil {
+		t.Fatal("begin against a gob server succeeded")
+	}
+	if errors.Is(err, os.ErrDeadlineExceeded) {
+		t.Fatal("client hung until its deadline instead of failing fast")
 	}
 }
 

@@ -1,10 +1,10 @@
 package wire
 
 import (
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"net"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -17,7 +17,9 @@ import (
 	"sconrep/internal/sql"
 )
 
-// Replica-link protocol (gateway ⇄ replica).
+// Replica-link protocol (gateway ⇄ replica). The gateway opens each
+// pooled connection with the preamble (no hello) and sends one
+// replicaRequest per replicaResponse.
 
 type replicaRequest struct {
 	// Seq numbers requests per connection; see seqGuard.
@@ -26,9 +28,8 @@ type replicaRequest struct {
 
 	// begin
 	MinVersion uint64
-	// Trace is the caller's span context for begin — an optional
-	// frame-header extension old peers ignore (gob skips unknown
-	// fields and zero-fills missing ones).
+	// Trace is the caller's span context for begin — optional: a zero
+	// context means "untraced".
 	Trace dtrace.SpanContext
 
 	// exec / commit / abort
@@ -37,6 +38,17 @@ type replicaRequest struct {
 	Params []any
 	Eager  bool
 }
+
+var replicaRequestTable = frameTable{name: "replicaRequest", fields: []fieldSpec{
+	{1, "Seq", kindUint},
+	{2, "Op", kindString},
+	{3, "MinVersion", kindUint},
+	{4, "Trace", kindSpan},
+	{5, "TxnID", kindUint},
+	{6, "SQL", kindString},
+	{7, "Params", kindValues},
+	{8, "Eager", kindBool},
+}}
 
 type replicaResponse struct {
 	Seq     uint64
@@ -58,6 +70,129 @@ type replicaResponse struct {
 	// Ready reports the serve gate: false while the replica's refresh
 	// stream is down or it is catching up after a partition.
 	Ready bool
+}
+
+var replicaResponseTable = frameTable{name: "replicaResponse", fields: []fieldSpec{
+	{1, "Seq", kindUint},
+	{2, "Err", kindString},
+	{3, "ErrCode", kindString},
+	{4, "TxnID", kindUint},
+	{5, "Snapshot", kindUint},
+	{6, "Result", kindResult},
+	{7, "Commit", kindCommit},
+	{8, "Touched", kindStrings},
+	{9, "Version", kindUint},
+	{10, "Active", kindInt},
+	{11, "Crashed", kindBool},
+	{12, "Ready", kindBool},
+}}
+
+func (r *replicaRequest) appendPayload(b []byte) ([]byte, error) {
+	b = appendUintField(b, 1, r.Seq)
+	b = appendStringField(b, 2, r.Op)
+	b = appendUintField(b, 3, r.MinVersion)
+	b = appendSpanField(b, 4, r.Trace)
+	b = appendUintField(b, 5, r.TxnID)
+	b = appendStringField(b, 6, r.SQL)
+	b, err := appendValuesField(b, 7, r.Params)
+	if err != nil {
+		return nil, err
+	}
+	return appendBoolField(b, 8, r.Eager), nil
+}
+
+func (r *replicaRequest) parsePayload(p []byte) error {
+	d := payloadReader{p: p}
+	for d.more() {
+		num, wt, err := d.tag()
+		if err != nil {
+			return err
+		}
+		switch num {
+		case 1:
+			r.Seq, err = d.uintField(wt)
+		case 2:
+			r.Op, err = d.stringField(wt)
+		case 3:
+			r.MinVersion, err = d.uintField(wt)
+		case 4:
+			r.Trace, err = d.spanField(wt)
+		case 5:
+			r.TxnID, err = d.uintField(wt)
+		case 6:
+			r.SQL, err = d.stringField(wt)
+		case 7:
+			r.Params, err = d.valuesField(wt)
+		case 8:
+			r.Eager, err = d.boolField(wt)
+		default:
+			err = d.skip(wt)
+		}
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+func (r *replicaResponse) appendPayload(b []byte) ([]byte, error) {
+	b = appendUintField(b, 1, r.Seq)
+	b = appendStringField(b, 2, r.Err)
+	b = appendStringField(b, 3, r.ErrCode)
+	b = appendUintField(b, 4, r.TxnID)
+	b = appendUintField(b, 5, r.Snapshot)
+	b, err := appendResultField(b, 6, r.Result)
+	if err != nil {
+		return nil, err
+	}
+	b = appendCommitField(b, 7, &r.Commit)
+	b = appendStringsField(b, 8, r.Touched)
+	b = appendUintField(b, 9, r.Version)
+	b = appendIntField(b, 10, r.Active)
+	b = appendBoolField(b, 11, r.Crashed)
+	return appendBoolField(b, 12, r.Ready), nil
+}
+
+func (r *replicaResponse) parsePayload(p []byte) error {
+	d := payloadReader{p: p}
+	for d.more() {
+		num, wt, err := d.tag()
+		if err != nil {
+			return err
+		}
+		switch num {
+		case 1:
+			r.Seq, err = d.uintField(wt)
+		case 2:
+			r.Err, err = d.stringField(wt)
+		case 3:
+			r.ErrCode, err = d.stringField(wt)
+		case 4:
+			r.TxnID, err = d.uintField(wt)
+		case 5:
+			r.Snapshot, err = d.uintField(wt)
+		case 6:
+			r.Result, err = d.resultField(wt)
+		case 7:
+			r.Commit, err = d.commitField(wt)
+		case 8:
+			r.Touched, err = d.stringsField(wt)
+		case 9:
+			r.Version, err = d.uintField(wt)
+		case 10:
+			r.Active, err = d.intField(wt)
+		case 11:
+			r.Crashed, err = d.boolField(wt)
+		case 12:
+			r.Ready, err = d.boolField(wt)
+		default:
+			err = d.skip(wt)
+		}
+		if err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 func (r *replicaRequest) setSeq(n uint64) { r.Seq = n }
@@ -128,7 +263,8 @@ type ReplicaServer struct {
 	// next is the last issued wire txn ID.
 	// guarded by mu
 	next uint64
-	// stmts caches parses by statement text.
+	// stmts caches parses by statement text, at most stmtCacheCap
+	// entries.
 	// guarded by mu
 	stmts map[string]*sql.Prepared
 	// obsReqs is nil-safe until EnableObs.
@@ -195,7 +331,14 @@ func (s *ReplicaServer) acceptLoop() {
 	}
 }
 
-// prepared caches parses by statement text.
+// stmtCacheCap bounds the statement cache: statement texts come from
+// clients, and an application that inlines literals into its SQL
+// would otherwise grow the cache without limit.
+const stmtCacheCap = 1024
+
+// prepared caches parses by statement text. On overflow one arbitrary
+// entry is evicted; a workload's hot statements are re-parsed at most
+// once per eviction.
 func (s *ReplicaServer) prepared(text string) (*sql.Prepared, error) {
 	s.mu.Lock()
 	p, ok := s.stmts[text]
@@ -203,11 +346,20 @@ func (s *ReplicaServer) prepared(text string) (*sql.Prepared, error) {
 	if ok {
 		return p, nil
 	}
+	// The cached key, and the literals the parse takes from the text,
+	// outlive the request frame the text was decoded from.
+	text = strings.Clone(text)
 	p, err := sql.Prepare(text)
 	if err != nil {
 		return nil, err
 	}
 	s.mu.Lock()
+	if len(s.stmts) >= stmtCacheCap {
+		for k := range s.stmts {
+			delete(s.stmts, k)
+			break
+		}
+	}
 	s.stmts[text] = p
 	s.mu.Unlock()
 	return p, nil
@@ -240,39 +392,49 @@ func (s *ReplicaServer) handle(c net.Conn) {
 		delete(s.conns, c)
 		s.mu.Unlock()
 	}()
-	dec := gob.NewDecoder(c)
-	fw := newFrameWriter(c)
-	defer fw.release()
+	if d := s.opts.to.Idle; d > 0 {
+		c.SetReadDeadline(time.Now().Add(d))
+	}
+	br, release, err := acceptConn(c, replicaPreamble)
+	if err != nil {
+		return
+	}
+	defer release()
 	var guard seqGuard
+	// One request and one response per connection, reused: exchanges
+	// are serial, and nothing keeps either past its exchange.
+	var req replicaRequest
+	var resp replicaResponse
 	for {
 		if d := s.opts.to.Idle; d > 0 {
 			c.SetReadDeadline(time.Now().Add(d))
 		}
-		var req replicaRequest
-		if err := dec.Decode(&req); err != nil {
+		req = replicaRequest{}
+		if err := recvFrame(br, &req); err != nil {
 			return
 		}
 		if !guard.ok(req.Seq) {
 			return
 		}
 		c.SetReadDeadline(time.Time{})
-		resp := s.dispatch(&req)
+		s.dispatch(&req, &resp)
 		resp.Seq = req.Seq
 		if d := s.opts.to.Call; d > 0 {
 			c.SetWriteDeadline(time.Now().Add(d))
 		}
-		if err := fw.encode(resp); err != nil {
+		if err := writeFrame(c, nil, &resp); err != nil {
 			return
 		}
 	}
 }
 
-func (s *ReplicaServer) dispatch(req *replicaRequest) *replicaResponse {
+// dispatch serves one request, filling resp.
+func (s *ReplicaServer) dispatch(req *replicaRequest, resp *replicaResponse) *replicaResponse {
 	s.mu.Lock()
 	reqs := s.obsReqs
 	s.mu.Unlock()
 	reqs.With(req.Op).Inc()
-	resp := &replicaResponse{}
+	*resp = replicaResponse{}
 	fail := func(err error) *replicaResponse {
 		resp.Err = err.Error()
 		resp.ErrCode = errCode(err)
@@ -304,6 +466,13 @@ func (s *ReplicaServer) dispatch(req *replicaRequest) *replicaResponse {
 		p, err := s.prepared(req.SQL)
 		if err != nil {
 			return fail(err)
+		}
+		// String parameters can land in stored rows; copy them out of
+		// the request frame so a row never pins it.
+		for i, v := range req.Params {
+			if str, ok := v.(string); ok {
+				req.Params[i] = strings.Clone(str)
+			}
 		}
 		res, err := tx.Exec(p, req.Params...)
 		if err != nil {
@@ -358,7 +527,7 @@ type remoteReplica struct {
 }
 
 func newRemoteReplica(id int, addr string, o *options) *remoteReplica {
-	r := &remoteReplica{id: id, pool: newConnPool(addr, nil, o.dialer(addr), o.to)}
+	r := &remoteReplica{id: id, pool: newConnPool(addr, replicaPreamble, nil, o.dialer(addr), o.to)}
 	r.healthy.Store(true)
 	return r
 }
@@ -372,16 +541,17 @@ func (r *remoteReplica) Active() int { return int(r.active.Load()) }
 // Crashed implements lb.Node.
 func (r *remoteReplica) Crashed() bool { return !r.healthy.Load() }
 
-func (r *remoteReplica) call(req *replicaRequest) (*replicaResponse, error) {
-	var resp replicaResponse
-	if err := r.pool.call(req, &resp); err != nil {
+// call performs one exchange, decoding into resp (which it returns).
+func (r *remoteReplica) call(req *replicaRequest, resp *replicaResponse) (*replicaResponse, error) {
+	*resp = replicaResponse{}
+	if err := r.pool.call(req, resp); err != nil {
 		r.healthy.Store(false)
 		return nil, err
 	}
 	if resp.ErrCode == "crashed" || resp.ErrCode == "unavailable" {
 		r.healthy.Store(false)
 	}
-	return &resp, decodeErr(&resp)
+	return resp, decodeErr(resp)
 }
 
 // probe refreshes the health flag; the gateway calls it periodically

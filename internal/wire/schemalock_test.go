@@ -1,28 +1,32 @@
 package wire
 
-// Generated-interop round-trip test for the committed wire schema
-// lock. For every struct in schema.lock it proves, with live gob
-// streams, the two evolution properties the wirecompat analyzer
-// asserts statically:
+// Skew tests for the committed wire schema lock. For every frame table
+// in schema.lock — the top-level frames and the nested messages they
+// carry — they prove, against the hand-written append/parse pair, the
+// two rolling-upgrade properties the wirecompat analyzer asserts
+// statically:
 //
-//   - forward skip: a populated current value decodes cleanly into a
-//     shadow type with one field removed (a legacy peer simply skips
-//     the field it does not know);
-//   - backward zero-fill: a populated shadow value (a legacy encoder)
-//     decodes into the current type, leaving only the dropped field at
-//     its zero value.
+//   - missing field: a frame written by a peer whose table lacks one
+//     field decodes with that field zero and every other field intact.
+//     Fields are independent tag/value pairs, so such a peer writes
+//     exactly the full encoding minus that field's pair;
+//   - unknown field: a frame carrying field numbers this build does
+//     not know, of either wire type, decodes as if they were absent.
 //
-// It also pins the lock itself to the code: every locked struct must
-// exist here with exactly the locked exported field names, so the lock
-// cannot drift from the tree without this test noticing — the schema
-// mirror below is the reviewed statement of what travels on the wire.
+// They also pin the lock to the code: every locked table must exist
+// here with exactly the locked fields, its field names must be exactly
+// the Go type's exported fields (so no field can be added to a frame
+// struct without reaching the wire), and the append half must write
+// exactly the table's field numbers and wire types. The gob structs in
+// the lock (the WAL record and what it reaches) get the same names
+// check here; their gob round trips live with the WAL.
 
 import (
 	"bytes"
-	"encoding/gob"
-	"fmt"
+	"encoding/binary"
 	"os"
 	"reflect"
+	"sort"
 	"testing"
 
 	"sconrep/internal/analysis"
@@ -34,27 +38,85 @@ import (
 	"sconrep/internal/writeset"
 )
 
-// lockedTypes maps every schema.lock struct name to its Go type. The
-// wire package's internal test can name the unexported envelopes; the
-// exported cross-package payloads are imported directly.
-var lockedTypes = map[string]reflect.Type{
-	"sconrep/internal/wire.certHello":         reflect.TypeOf(certHello{}),
-	"sconrep/internal/wire.certRequest":       reflect.TypeOf(certRequest{}),
-	"sconrep/internal/wire.certResponse":      reflect.TypeOf(certResponse{}),
-	"sconrep/internal/wire.refreshBatch":      reflect.TypeOf(refreshBatch{}),
-	"sconrep/internal/wire.clientHello":       reflect.TypeOf(clientHello{}),
-	"sconrep/internal/wire.clientRequest":     reflect.TypeOf(clientRequest{}),
-	"sconrep/internal/wire.clientResponse":    reflect.TypeOf(clientResponse{}),
-	"sconrep/internal/wire.replicaRequest":    reflect.TypeOf(replicaRequest{}),
-	"sconrep/internal/wire.replicaResponse":   reflect.TypeOf(replicaResponse{}),
+// pathStep locates a nested message: the field number it travels in,
+// and whether that field holds a list of messages (count, then
+// length-prefixed bodies) rather than one message body.
+type pathStep struct {
+	num  uint64
+	list bool
+}
+
+// skewCase is one locked table with a fully populated frame carrying
+// it.
+type skewCase struct {
+	table  *frameTable
+	typ    reflect.Type
+	sample func() wireFrame
+	fresh  func() wireFrame
+	// path leads from the frame payload to the table's message (empty
+	// for top-level frames); value returns that message in a decoded
+	// frame.
+	path  []pathStep
+	value func(wireFrame) reflect.Value
+}
+
+func top(f wireFrame) reflect.Value { return reflect.ValueOf(f).Elem() }
+
+func frameSample(frames []wireFrame, i int) func() wireFrame {
+	return func() wireFrame { return frames[i] }
+}
+
+// lockedFrames maps every schema.lock frame name to its skew case.
+func lockedFrames() map[string]skewCase {
+	cl, rl, ce := clientLinkFrames(), replicaLinkFrames(), certLinkFrames()
+	return map[string]skewCase{
+		"sconrep/internal/wire.clientHello": {table: &clientHelloTable, typ: reflect.TypeOf(clientHello{}),
+			sample: frameSample(cl, 0), fresh: func() wireFrame { return &clientHello{} }, value: top},
+		"sconrep/internal/wire.clientRequest": {table: &clientRequestTable, typ: reflect.TypeOf(clientRequest{}),
+			sample: frameSample(cl, 1), fresh: func() wireFrame { return &clientRequest{} }, value: top},
+		"sconrep/internal/wire.clientResponse": {table: &clientResponseTable, typ: reflect.TypeOf(clientResponse{}),
+			sample: frameSample(cl, 2), fresh: func() wireFrame { return &clientResponse{} }, value: top},
+		"sconrep/internal/wire.replicaRequest": {table: &replicaRequestTable, typ: reflect.TypeOf(replicaRequest{}),
+			sample: frameSample(rl, 0), fresh: func() wireFrame { return &replicaRequest{} }, value: top},
+		"sconrep/internal/wire.replicaResponse": {table: &replicaResponseTable, typ: reflect.TypeOf(replicaResponse{}),
+			sample: frameSample(rl, 1), fresh: func() wireFrame { return &replicaResponse{} }, value: top},
+		"sconrep/internal/wire.certHello": {table: &certHelloTable, typ: reflect.TypeOf(certHello{}),
+			sample: frameSample(ce, 0), fresh: func() wireFrame { return &certHello{} }, value: top},
+		"sconrep/internal/wire.certRequest": {table: &certRequestTable, typ: reflect.TypeOf(certRequest{}),
+			sample: frameSample(ce, 1), fresh: func() wireFrame { return &certRequest{} }, value: top},
+		"sconrep/internal/wire.certResponse": {table: &certResponseTable, typ: reflect.TypeOf(certResponse{}),
+			sample: frameSample(ce, 2), fresh: func() wireFrame { return &certResponse{} }, value: top},
+		"sconrep/internal/wire.refreshBatch": {table: &refreshBatchTable, typ: reflect.TypeOf(refreshBatch{}),
+			sample: frameSample(ce, 3), fresh: func() wireFrame { return &refreshBatch{} }, value: top},
+		"sconrep/internal/wire.result": {table: &resultTable, typ: reflect.TypeOf(sql.Result{}),
+			sample: frameSample(cl, 2), fresh: func() wireFrame { return &clientResponse{} },
+			path: []pathStep{{num: 4}},
+			value: func(f wireFrame) reflect.Value {
+				return reflect.ValueOf(f.(*clientResponse).Result).Elem()
+			}},
+		"sconrep/internal/wire.commitResult": {table: &commitTable, typ: reflect.TypeOf(replica.CommitResult{}),
+			sample: frameSample(rl, 1), fresh: func() wireFrame { return &replicaResponse{} },
+			path:  []pathStep{{num: 7}},
+			value: func(f wireFrame) reflect.Value { return reflect.ValueOf(&f.(*replicaResponse).Commit).Elem() }},
+		"sconrep/internal/wire.decision": {table: &decisionTable, typ: reflect.TypeOf(certifier.Decision{}),
+			sample: frameSample(ce, 2), fresh: func() wireFrame { return &certResponse{} },
+			path:  []pathStep{{num: 3}},
+			value: func(f wireFrame) reflect.Value { return reflect.ValueOf(&f.(*certResponse).Decision).Elem() }},
+		"sconrep/internal/wire.refresh": {table: &refreshTable, typ: reflect.TypeOf(certifier.Refresh{}),
+			sample: frameSample(ce, 3), fresh: func() wireFrame { return &refreshBatch{} },
+			path: []pathStep{{num: 1, list: true}},
+			value: func(f wireFrame) reflect.Value {
+				return reflect.ValueOf(&f.(*refreshBatch).Refreshes[0]).Elem()
+			}},
+	}
+}
+
+// lockedStructs maps the lock's gob structs to their Go types.
+var lockedStructs = map[string]reflect.Type{
 	"sconrep/internal/wal.Record":             reflect.TypeOf(wal.Record{}),
 	"sconrep/internal/writeset.WriteSet":      reflect.TypeOf(writeset.WriteSet{}),
 	"sconrep/internal/writeset.Item":          reflect.TypeOf(writeset.Item{}),
-	"sconrep/internal/certifier.Refresh":      reflect.TypeOf(certifier.Refresh{}),
-	"sconrep/internal/certifier.Decision":     reflect.TypeOf(certifier.Decision{}),
 	"sconrep/internal/obs/dtrace.SpanContext": reflect.TypeOf(dtrace.SpanContext{}),
-	"sconrep/internal/sql.Result":             reflect.TypeOf(sql.Result{}),
-	"sconrep/internal/replica.CommitResult":   reflect.TypeOf(replica.CommitResult{}),
 }
 
 func loadSchemaLock(t *testing.T) *analysis.Schema {
@@ -70,27 +132,67 @@ func loadSchemaLock(t *testing.T) *analysis.Schema {
 	return s
 }
 
-// TestSchemaLockMatchesTypes pins the lock to the live types: same
-// struct set, same exported field names in the same order.
-func TestSchemaLockMatchesTypes(t *testing.T) {
-	lock := loadSchemaLock(t)
-	for name := range lock.Structs {
-		if _, ok := lockedTypes[name]; !ok {
-			t.Errorf("schema.lock struct %s has no entry in lockedTypes: add it (and a round-trip case) here", name)
+func exportedFields(typ reflect.Type) []string {
+	var out []string
+	for i := 0; i < typ.NumField(); i++ {
+		if f := typ.Field(i); f.IsExported() {
+			out = append(out, f.Name)
 		}
 	}
-	for name, typ := range lockedTypes {
-		st, ok := lock.Structs[name]
+	return out
+}
+
+// TestSchemaLockMatchesTypes pins the lock to the live tables and
+// types.
+func TestSchemaLockMatchesTypes(t *testing.T) {
+	lock := loadSchemaLock(t)
+	frames := lockedFrames()
+	for name := range lock.Frames {
+		if _, ok := frames[name]; !ok {
+			t.Errorf("schema.lock frame %s has no skew case: add it to lockedFrames", name)
+		}
+	}
+	for name, sc := range frames {
+		lf, ok := lock.Frames[name]
 		if !ok {
-			t.Errorf("lockedTypes entry %s is not in schema.lock: run `sconrep-vet -update-schema`", name)
+			t.Errorf("frame table %s is not in schema.lock: run `sconrep-vet -update-schema`", name)
 			continue
 		}
-		var exported []string
-		for i := 0; i < typ.NumField(); i++ {
-			if f := typ.Field(i); f.IsExported() {
-				exported = append(exported, f.Name)
+		if len(lf.Fields) != len(sc.table.fields) {
+			t.Errorf("%s: %d fields in the table, %d in schema.lock", name, len(sc.table.fields), len(lf.Fields))
+			continue
+		}
+		for i, f := range sc.table.fields {
+			l := lf.Fields[i]
+			if l.Num != f.num || l.Name != f.name || l.Kind != string(f.kind) {
+				t.Errorf("%s field %d: table has %d %s %s, schema.lock has %d %s %s",
+					name, i, f.num, f.name, f.kind, l.Num, l.Name, l.Kind)
 			}
 		}
+		var names []string
+		for _, f := range sc.table.fields {
+			names = append(names, f.name)
+		}
+		sort.Strings(names)
+		exported := exportedFields(sc.typ)
+		sort.Strings(exported)
+		if !reflect.DeepEqual(names, exported) {
+			t.Errorf("%s: table fields %v, but %s has exported fields %v: every exported field must be on the wire",
+				name, names, sc.typ, exported)
+		}
+	}
+	for name := range lock.Structs {
+		if _, ok := lockedStructs[name]; !ok {
+			t.Errorf("schema.lock struct %s has no entry in lockedStructs", name)
+		}
+	}
+	for name, typ := range lockedStructs {
+		st, ok := lock.Structs[name]
+		if !ok {
+			t.Errorf("lockedStructs entry %s is not in schema.lock: run `sconrep-vet -update-schema`", name)
+			continue
+		}
+		exported := exportedFields(typ)
 		if len(exported) != len(st.Fields) {
 			t.Errorf("%s: %d exported fields in code, %d in schema.lock", name, len(exported), len(st.Fields))
 			continue
@@ -103,146 +205,212 @@ func TestSchemaLockMatchesTypes(t *testing.T) {
 	}
 }
 
-// TestSchemaLockRoundTrips runs the shadow-type round trips for every
-// locked struct and every droppable field.
+// TestSchemaLockRoundTrips runs the skew round trips for every locked
+// frame table and every field, in both directions.
 func TestSchemaLockRoundTrips(t *testing.T) {
-	lock := loadSchemaLock(t)
-	for name, typ := range lockedTypes {
-		st := lock.Structs[name]
-		if st == nil {
-			continue // TestSchemaLockMatchesTypes reports it
-		}
-		if len(st.Fields) < 2 {
-			// Dropping the only field would leave a struct gob refuses
-			// to encode ("no exported fields"); a one-field struct has
-			// no partial-decode surface anyway.
-			continue
-		}
-		t.Run(typ.Name(), func(t *testing.T) {
-			for _, f := range st.Fields {
-				testDropField(t, typ, f.Name)
+	for _, sc := range lockedFrames() {
+		sc := sc
+		t.Run(sc.typ.Name(), func(t *testing.T) {
+			full, err := sc.sample().appendPayload(nil)
+			if err != nil {
+				t.Fatal(err)
 			}
+			checkTableCoverage(t, sc, full)
+			for _, f := range sc.table.fields {
+				testMissingField(t, sc, full, f)
+			}
+			testUnknownFields(t, sc, full)
 		})
 	}
 }
 
-// testDropField gob-round-trips typ against a shadow of typ with the
-// named field removed, in both directions.
-func testDropField(t *testing.T, typ reflect.Type, drop string) {
+// checkTableCoverage: the sample sets every field, so the append half
+// must write each table field once, with its kind's wire type, and
+// nothing else.
+func checkTableCoverage(t *testing.T, sc skewCase, full []byte) {
 	t.Helper()
-	shadow := shadowType(typ, drop)
-	full := reflect.New(typ)
-	populate(full.Elem(), 3)
-
-	// Forward skip: current encoder -> legacy decoder.
-	dec := gob.NewDecoder(encodeValue(t, full.Interface()))
-	shadowPtr := reflect.New(shadow)
-	if err := dec.DecodeValue(shadowPtr); err != nil {
-		t.Fatalf("%s: decoding into shadow without %s: %v", typ.Name(), drop, err)
-	}
-	compareCommon(t, typ.Name()+" forward drop "+drop, full.Elem(), shadowPtr.Elem(), drop)
-
-	// Backward zero-fill: legacy encoder -> current decoder.
-	shadowVal := reflect.New(shadow)
-	populate(shadowVal.Elem(), 5)
-	dec = gob.NewDecoder(encodeValue(t, shadowVal.Interface()))
-	back := reflect.New(typ)
-	if err := dec.DecodeValue(back); err != nil {
-		t.Fatalf("%s: decoding legacy stream without %s: %v", typ.Name(), drop, err)
-	}
-	compareCommon(t, typ.Name()+" backward drop "+drop, back.Elem(), shadowVal.Elem(), drop)
-	if got := back.Elem().FieldByName(drop); !got.IsZero() {
-		t.Errorf("%s: field %s absent from the legacy stream must decode to its zero value, got %v",
-			typ.Name(), drop, got.Interface())
-	}
+	editAt(t, full, sc.path, func(fs []rawField) []rawField {
+		got := map[uint64]uint64{}
+		for _, f := range fs {
+			if _, dup := got[f.num]; dup {
+				t.Errorf("%s: field %d written twice", sc.table.name, f.num)
+			}
+			got[f.num] = f.wt
+		}
+		for _, f := range sc.table.fields {
+			wt, ok := got[f.num]
+			switch {
+			case !ok:
+				t.Errorf("%s: field %d (%s) not written for a nonzero value", sc.table.name, f.num, f.name)
+			case wt != kindWireType(f.kind):
+				t.Errorf("%s: field %d (%s) written as wire type %d, kind %s wants %d",
+					sc.table.name, f.num, f.name, wt, f.kind, kindWireType(f.kind))
+			}
+			delete(got, f.num)
+		}
+		for num := range got {
+			t.Errorf("%s: field %d written but not in the table", sc.table.name, num)
+		}
+		return fs
+	})
 }
 
-func encodeValue(t *testing.T, v any) *bytes.Buffer {
+// kindWireType is the wire type values of kind k travel as.
+func kindWireType(k fieldKind) uint64 {
+	switch k {
+	case kindUint, kindInt, kindBool:
+		return wtVarint
+	}
+	return wtBytes
+}
+
+// testMissingField decodes the frame a peer without field f would
+// write.
+func testMissingField(t *testing.T, sc skewCase, full []byte, f fieldSpec) {
 	t.Helper()
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(v); err != nil {
-		t.Fatalf("encoding %T: %v", v, err)
-	}
-	return &buf
-}
-
-// shadowType rebuilds typ without the named field, as a legacy peer
-// compiled before the field existed would declare it.
-func shadowType(typ reflect.Type, drop string) reflect.Type {
-	var fields []reflect.StructField
-	for i := 0; i < typ.NumField(); i++ {
-		f := typ.Field(i)
-		if !f.IsExported() || f.Name == drop {
-			continue
-		}
-		fields = append(fields, reflect.StructField{Name: f.Name, Type: f.Type})
-	}
-	return reflect.StructOf(fields)
-}
-
-// compareCommon asserts every exported field except drop carried its
-// value across the stream (gob encodes zero-value fields as absent,
-// which decodes back to zero — still equal).
-func compareCommon(t *testing.T, label string, a, b reflect.Value, drop string) {
-	t.Helper()
-	for i := 0; i < a.Type().NumField(); i++ {
-		f := a.Type().Field(i)
-		if !f.IsExported() || f.Name == drop {
-			continue
-		}
-		bv := b.FieldByName(f.Name)
-		if !bv.IsValid() {
-			continue
-		}
-		if !reflect.DeepEqual(a.Field(i).Interface(), bv.Interface()) {
-			t.Errorf("%s: field %s diverged: %v vs %v", label, f.Name, a.Field(i).Interface(), bv.Interface())
-		}
-	}
-}
-
-// populate fills v with deterministic nonzero data, recursing through
-// the schema's composite shapes. Interface fields get int64, one of
-// the concrete scalar types wire's init registers with gob.
-func populate(v reflect.Value, seed int64) {
-	switch v.Kind() {
-	case reflect.Bool:
-		v.SetBool(true)
-	case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
-		v.SetInt(seed)
-	case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64:
-		v.SetUint(uint64(seed))
-	case reflect.Float32, reflect.Float64:
-		v.SetFloat(float64(seed))
-	case reflect.String:
-		v.SetString(fmt.Sprintf("s%d", seed))
-	case reflect.Slice:
-		s := reflect.MakeSlice(v.Type(), 2, 2)
-		populate(s.Index(0), seed)
-		populate(s.Index(1), seed+1)
-		v.Set(s)
-	case reflect.Array:
-		for i := 0; i < v.Len(); i++ {
-			populate(v.Index(i), seed+int64(i))
-		}
-	case reflect.Map:
-		m := reflect.MakeMap(v.Type())
-		k := reflect.New(v.Type().Key()).Elem()
-		populate(k, seed)
-		val := reflect.New(v.Type().Elem()).Elem()
-		populate(val, seed+1)
-		m.SetMapIndex(k, val)
-		v.Set(m)
-	case reflect.Pointer:
-		p := reflect.New(v.Type().Elem())
-		populate(p.Elem(), seed)
-		v.Set(p)
-	case reflect.Struct:
-		for i := 0; i < v.NumField(); i++ {
-			if v.Type().Field(i).IsExported() {
-				populate(v.Field(i), seed+int64(i))
+	legacy := editAt(t, full, sc.path, func(fs []rawField) []rawField {
+		var out []rawField
+		for _, r := range fs {
+			if r.num != f.num {
+				out = append(out, r)
 			}
 		}
-	case reflect.Interface:
-		v.Set(reflect.ValueOf(int64(seed)))
+		return out
+	})
+	got := sc.fresh()
+	if err := got.parsePayload(legacy); err != nil {
+		t.Fatalf("%s without %s: %v", sc.table.name, f.name, err)
 	}
+	if v := sc.value(got).FieldByName(f.name); !v.IsZero() {
+		t.Errorf("%s: field %s absent from the frame must decode to its zero value, got %v", sc.table.name, f.name, v.Interface())
+	}
+	// Every other field survived bit-exactly: re-encoding reproduces
+	// the legacy peer's bytes.
+	again, err := got.appendPayload(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(again, legacy) {
+		t.Errorf("%s without %s: decode lost or changed other fields:\n got %x\nwant %x", sc.table.name, f.name, again, legacy)
+	}
+}
+
+// testUnknownFields decodes frames carrying unknown field numbers of
+// both wire types, at the front, the middle and the back of the
+// message.
+func testUnknownFields(t *testing.T, sc skewCase, full []byte) {
+	t.Helper()
+	unknown := []rawField{
+		{num: 1000, wt: wtVarint, val: binary.AppendUvarint(nil, 1<<40)},
+		{num: 1001, wt: wtBytes, val: []byte("future field")},
+		{num: 1002, wt: wtBytes, val: nil},
+	}
+	for _, at := range []int{0, 1, -1} {
+		newer := editAt(t, full, sc.path, func(fs []rawField) []rawField {
+			i := at
+			if i < 0 || i > len(fs) {
+				i = len(fs)
+			}
+			out := append([]rawField{}, fs[:i]...)
+			out = append(out, unknown...)
+			return append(out, fs[i:]...)
+		})
+		got := sc.fresh()
+		if err := got.parsePayload(newer); err != nil {
+			t.Fatalf("%s with unknown fields at %d: %v", sc.table.name, at, err)
+		}
+		again, err := got.appendPayload(nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(again, full) {
+			t.Errorf("%s with unknown fields at %d decoded differently:\n got %x\nwant %x", sc.table.name, at, again, full)
+		}
+	}
+}
+
+// rawField is one encoded field: for wtVarint, val holds the uvarint
+// bytes; for wtBytes, the body.
+type rawField struct {
+	num, wt uint64
+	val     []byte
+}
+
+func splitRaw(t *testing.T, p []byte) []rawField {
+	t.Helper()
+	d := payloadReader{p: p}
+	var out []rawField
+	for d.more() {
+		num, wt, err := d.tag()
+		if err != nil {
+			t.Fatalf("splitting %x: %v", p, err)
+		}
+		start := d.off
+		if wt == wtVarint {
+			if _, err := d.uvarint(); err != nil {
+				t.Fatal(err)
+			}
+			out = append(out, rawField{num: num, wt: wt, val: p[start:d.off]})
+			continue
+		}
+		body, err := d.sub()
+		if err != nil {
+			t.Fatal(err)
+		}
+		out = append(out, rawField{num: num, wt: wt, val: body.p})
+	}
+	return out
+}
+
+func joinRaw(fs []rawField) []byte {
+	var b []byte
+	for _, f := range fs {
+		b = appendTag(b, f.num, f.wt)
+		if f.wt == wtBytes {
+			b = binary.AppendUvarint(b, uint64(len(f.val)))
+		}
+		b = append(b, f.val...)
+	}
+	return b
+}
+
+// editAt applies fn to the fields of the message at path inside
+// payload p (to every element, for list steps) and returns the
+// re-encoded payload.
+func editAt(t *testing.T, p []byte, path []pathStep, fn func([]rawField) []rawField) []byte {
+	t.Helper()
+	fs := splitRaw(t, p)
+	if len(path) == 0 {
+		return joinRaw(fn(fs))
+	}
+	found := false
+	for i := range fs {
+		if fs[i].num != path[0].num {
+			continue
+		}
+		found = true
+		if !path[0].list {
+			fs[i].val = editAt(t, fs[i].val, path[1:], fn)
+			continue
+		}
+		d := payloadReader{p: fs[i].val}
+		n, err := d.count()
+		if err != nil {
+			t.Fatal(err)
+		}
+		list := binary.AppendUvarint(nil, uint64(n))
+		for j := 0; j < n; j++ {
+			el, err := d.sub()
+			if err != nil {
+				t.Fatal(err)
+			}
+			body := editAt(t, el.p, path[1:], fn)
+			list = append(binary.AppendUvarint(list, uint64(len(body))), body...)
+		}
+		fs[i].val = list
+	}
+	if !found {
+		t.Fatalf("path field %d not in %x", path[0].num, p)
+	}
+	return joinRaw(fs)
 }

@@ -1,14 +1,13 @@
 // Wire-level interop for sharded certification and partial refresh
 // subscriptions: a pre-sharding peer speaks hellos and requests without
-// the Shards fields, and gob simply omits (encode side) or ignores
-// (decode side) them — so legacy peers must keep getting the full
-// stream, and partial subscribers must get skip markers (nil WS) for
-// foreign-shard versions so the version order stays contiguous.
+// the Shards fields (zero values are never encoded, so its frames are
+// exactly ours with Shards empty) — legacy peers must keep getting the
+// full stream, and partial subscribers must get skip markers (nil WS)
+// for foreign-shard versions so the version order stays contiguous.
 package wire
 
 import (
 	"bufio"
-	"encoding/gob"
 	"net"
 	"testing"
 	"time"
@@ -41,6 +40,58 @@ func certifyOn(t *testing.T, cert *certifier.Certifier, table string, txnID uint
 	}
 }
 
+// rawSubscribe opens a hand-rolled subscription stream: the preamble
+// and a "sub" hello, then the reader the refresh frames arrive on.
+func rawSubscribe(tb testing.TB, addr string, hello certHello) (net.Conn, *bufio.Reader) {
+	tb.Helper()
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	pre, err := preamble(certPreamble, &hello)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if _, err := conn.Write(pre); err != nil {
+		tb.Fatal(err)
+	}
+	return conn, bufio.NewReader(conn)
+}
+
+// TestRefreshStreamAttachFrame pins the stream's first frame: an empty
+// batch sent only once the subscription is attached. A subscriber that
+// learns its serve floor after this frame cannot miss a version: later
+// ones reach the stream, earlier ones are at or below the floor.
+func TestRefreshStreamAttachFrame(t *testing.T) {
+	cert := certifier.New()
+	srv, err := ServeCertifier(cert, "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	conn, br := rawSubscribe(t, srv.Addr(), certHello{Kind: "sub", ReplicaID: 4})
+	defer conn.Close()
+	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	var first refreshBatch
+	if err := recvFrame(br, &first); err != nil {
+		t.Fatalf("no attach frame: %v", err)
+	}
+	if len(first.Refreshes) != 0 {
+		t.Fatalf("attach frame carried %d refreshes", len(first.Refreshes))
+	}
+	if got := cert.Replicas(); len(got) != 1 || got[0] != 4 {
+		t.Fatalf("attach frame arrived before the subscription attached (subscribers %v)", got)
+	}
+	certifyN(t, cert, 1)
+	var next refreshBatch
+	if err := recvFrame(br, &next); err != nil {
+		t.Fatal(err)
+	}
+	if len(next.Refreshes) != 1 || next.Refreshes[0].Version != 1 {
+		t.Fatalf("first refresh = %+v", next.Refreshes)
+	}
+}
+
 // TestShardedStreamLegacySubscriber proves a pre-sharding subscriber —
 // whose hello has no Shards field — gets the full refresh stream from
 // a sharded certifier: every version, every writeset, no skip markers.
@@ -52,14 +103,8 @@ func TestShardedStreamLegacySubscriber(t *testing.T) {
 	}
 	defer srv.Close()
 
-	conn, err := net.Dial("tcp", srv.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
+	conn, br := rawSubscribe(t, srv.Addr(), certHello{Kind: "sub", ReplicaID: 3})
 	defer conn.Close()
-	if err := gob.NewEncoder(conn).Encode(legacyCertHello{Kind: "sub", ReplicaID: 3}); err != nil {
-		t.Fatal(err)
-	}
 	deadline := time.Now().Add(5 * time.Second)
 	for len(cert.Replicas()) == 0 {
 		if time.Now().After(deadline) {
@@ -71,13 +116,12 @@ func TestShardedStreamLegacySubscriber(t *testing.T) {
 		certifyOn(t, cert, table, uint64(i+1))
 	}
 
-	dec := gob.NewDecoder(conn)
 	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
 	var seen uint64
 	for seen < 4 {
-		var batch legacyRefreshBatch
-		if err := dec.Decode(&batch); err != nil {
-			t.Fatalf("gob frame after %d refreshes: %v", seen, err)
+		var batch refreshBatch
+		if err := recvFrame(br, &batch); err != nil {
+			t.Fatalf("frame after %d refreshes: %v", seen, err)
 		}
 		for i := range batch.Refreshes {
 			r := batch.Refreshes[i]
@@ -104,14 +148,8 @@ func TestShardedStreamPartialSubscriber(t *testing.T) {
 	}
 	defer srv.Close()
 
-	conn, err := net.Dial("tcp", srv.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
+	conn, br := rawSubscribe(t, srv.Addr(), certHello{Kind: "sub", ReplicaID: 5, Shards: []int{0, 2}})
 	defer conn.Close()
-	if err := gob.NewEncoder(conn).Encode(certHello{Kind: "sub", ReplicaID: 5, Shards: []int{0, 2}}); err != nil {
-		t.Fatal(err)
-	}
 	deadline := time.Now().Add(5 * time.Second)
 	for len(cert.Replicas()) == 0 {
 		if time.Now().After(deadline) {
@@ -123,15 +161,13 @@ func TestShardedStreamPartialSubscriber(t *testing.T) {
 		certifyOn(t, cert, table, uint64(i+1))
 	}
 
-	br := bufio.NewReader(conn)
-	dec := gob.NewDecoder(br)
 	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
 	served := map[uint64]bool{1: true, 3: true} // t0 → v1, t2 → v3
 	var seen uint64
 	for seen < 4 {
 		var batch refreshBatch
-		if err := dec.Decode(&batch); err != nil {
-			t.Fatalf("gob frame after %d refreshes: %v", seen, err)
+		if err := recvFrame(br, &batch); err != nil {
+			t.Fatalf("frame after %d refreshes: %v", seen, err)
 		}
 		for i := range batch.Refreshes {
 			r := batch.Refreshes[i]
@@ -171,16 +207,16 @@ func TestShardedHistoryPartialRequest(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer conn.Close()
-		enc, dec := gob.NewEncoder(conn), gob.NewDecoder(conn)
-		if err := enc.Encode(certHello{Kind: "req", ReplicaID: 9}); err != nil {
+		pre, err := preamble(certPreamble, &certHello{Kind: "req", ReplicaID: 9})
+		if err != nil {
 			t.Fatal(err)
 		}
-		if err := enc.Encode(&req); err != nil {
+		if err := writeFrame(conn, pre, &req); err != nil {
 			t.Fatal(err)
 		}
 		conn.SetReadDeadline(time.Now().Add(5 * time.Second))
 		var resp certResponse
-		if err := dec.Decode(&resp); err != nil {
+		if err := recvFrame(bufio.NewReader(conn), &resp); err != nil {
 			t.Fatal(err)
 		}
 		return resp.History

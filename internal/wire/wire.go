@@ -1,10 +1,11 @@
-// Package wire provides the TCP/gob transport that turns the
-// in-process cluster into a distributed deployment, mirroring the
-// paper's testbed topology (Figure 2):
+// Package wire provides the TCP transport that turns the in-process
+// cluster into a distributed deployment, mirroring the paper's testbed
+// topology (Figure 2):
 //
 //	client ⇄ gateway (load balancer) ⇄ replicas ⇄ certifier
 //
-// Three protocols, all gob-framed over TCP:
+// Three protocols, all in one length-prefixed binary frame format (see
+// codec.go) over TCP:
 //
 //   - certifier link (CertServer / CertClient): replicas certify
 //     writesets, stream refreshes, acknowledge applies, and fetch
@@ -14,35 +15,33 @@
 //   - client link (Gateway / Client): applications open sessions and
 //     run named transactions.
 //
-// Request/response calls use small per-destination connection pools
-// (one in-flight call per connection); refresh streaming uses one
-// dedicated connection per replica. Row values are []any restricted to
-// int64/float64/string/bool/nil, which gob handles once registered.
+// Every frame type declares a field table; fields travel as tagged
+// values, so a peer skips fields it does not know and zero-fills ones
+// it never received. There is no codec negotiation: the dialer opens
+// each connection with a fixed preamble, and a peer that does not send
+// it is dropped. Request/response calls use small per-destination
+// connection pools (one in-flight call per connection); refresh
+// streaming uses one dedicated connection per replica. Row values are
+// []any restricted to int64/float64/string/bool/nil.
 package wire
 
 import (
-	"encoding/gob"
+	"bufio"
 	"fmt"
 	"net"
+	"strings"
 	"sync"
 	"time"
 
 	"sconrep/internal/certifier"
-	"sconrep/internal/writeset"
 )
-
-func init() {
-	// Row values travel as interface fields.
-	gob.Register(int64(0))
-	gob.Register(float64(0))
-	gob.Register("")
-	gob.Register(false)
-}
 
 // connPool is a lazily grown pool of connections to one address. Each
 // Call takes a connection for a full request/response exchange.
 type connPool struct {
 	addr string
+	// link is the protocol's connection preamble.
+	link string
 	dial Dialer
 	to   Timeouts
 	// mu guards the free list; CertClient tears pools down while
@@ -52,16 +51,18 @@ type connPool struct {
 	// free is the idle-connection list.
 	// guarded by mu
 	free []*rpcConn
-	// hello is sent once on every new connection to select the peer's
-	// handler. A func() any is invoked per connection, for hellos that
-	// carry live state (the certifier client's Vlocal).
-	hello any
+	// hello, when set, is called once per new connection for the frame
+	// that selects the peer's handler; it is a func so hellos can carry
+	// live state (the certifier client's Vlocal).
+	hello func() outFrame
 }
 
 type rpcConn struct {
-	c   net.Conn
-	enc *gob.Encoder
-	dec *gob.Decoder
+	c  net.Conn
+	br *bufio.Reader
+	// pre is the preamble (and hello) still to be sent: it rides in the
+	// same Write as the connection's first request.
+	pre []byte
 	// pooled marks connections reused from the free list: a send
 	// failure on one usually means the server idled it out, so the call
 	// is retried once on a fresh dial.
@@ -75,14 +76,21 @@ type rpcConn struct {
 
 // seqReq / seqResp are implemented by request/response frame types that
 // carry a per-connection sequence number.
-type seqReq interface{ setSeq(uint64) }
-type seqResp interface{ seq() uint64 }
+type seqReq interface {
+	outFrame
+	setSeq(uint64)
+}
 
-func newConnPool(addr string, hello any, dial Dialer, to Timeouts) *connPool {
+type seqResp interface {
+	inFrame
+	seq() uint64
+}
+
+func newConnPool(addr, link string, hello func() outFrame, dial Dialer, to Timeouts) *connPool {
 	if dial == nil {
 		dial = net.Dial
 	}
-	return &connPool{addr: addr, hello: hello, dial: dial, to: to}
+	return &connPool{addr: addr, link: link, hello: hello, dial: dial, to: to}
 }
 
 func (p *connPool) get() (*rpcConn, error) {
@@ -95,25 +103,19 @@ func (p *connPool) get() (*rpcConn, error) {
 		return rc, nil
 	}
 	p.mu.Unlock()
+	var hello outFrame
+	if p.hello != nil {
+		hello = p.hello()
+	}
+	pre, err := preamble(p.link, hello)
+	if err != nil {
+		return nil, fmt.Errorf("wire: hello to %s: %w", p.addr, err)
+	}
 	c, err := p.dial("tcp", p.addr)
 	if err != nil {
 		return nil, fmt.Errorf("wire: dial %s: %w", p.addr, err)
 	}
-	rc := &rpcConn{c: c, enc: gob.NewEncoder(c), dec: gob.NewDecoder(c)}
-	if p.hello != nil {
-		h := p.hello
-		if fn, ok := h.(func() any); ok {
-			h = fn()
-		}
-		if d := p.to.Call; d > 0 {
-			c.SetWriteDeadline(time.Now().Add(d))
-		}
-		if err := rc.enc.Encode(h); err != nil {
-			c.Close()
-			return nil, fmt.Errorf("wire: hello to %s: %w", p.addr, err)
-		}
-	}
-	return rc, nil
+	return &rpcConn{c: c, br: bufio.NewReader(c), pre: pre}, nil
 }
 
 func (p *connPool) put(rc *rpcConn) {
@@ -124,7 +126,7 @@ func (p *connPool) put(rc *rpcConn) {
 
 // call performs one request/response exchange; on any error the
 // connection is discarded.
-func (p *connPool) call(req, resp any) error {
+func (p *connPool) call(req seqReq, resp seqResp) error {
 	return p.callDeadline(req, resp, p.to.Call)
 }
 
@@ -133,36 +135,35 @@ func (p *connPool) call(req, resp any) error {
 // server likely reaped it while idle — the exchange is retried once on
 // a fresh connection; a send that reached the wire is never retried
 // here, so retry-safety decisions stay with the callers.
-func (p *connPool) callDeadline(req, resp any, d time.Duration) error {
+func (p *connPool) callDeadline(req seqReq, resp seqResp, d time.Duration) error {
 	for {
 		rc, err := p.get()
 		if err != nil {
 			return err
 		}
 		rc.seq++
-		if sr, ok := req.(seqReq); ok {
-			sr.setSeq(rc.seq)
-		}
+		req.setSeq(rc.seq)
 		if d > 0 {
 			rc.c.SetWriteDeadline(time.Now().Add(d))
 		}
-		if err := rc.enc.Encode(req); err != nil {
+		if err := writeFrame(rc.c, rc.pre, req); err != nil {
 			rc.c.Close()
 			if rc.pooled {
 				continue
 			}
 			return fmt.Errorf("wire: send to %s: %w", p.addr, err)
 		}
+		rc.pre = nil
 		if d > 0 {
 			rc.c.SetReadDeadline(time.Now().Add(d))
 		}
-		if err := rc.dec.Decode(resp); err != nil {
+		if err := recvFrame(rc.br, resp); err != nil {
 			rc.c.Close()
 			return fmt.Errorf("wire: recv from %s: %w", p.addr, err)
 		}
-		if sr, ok := resp.(seqResp); ok && sr.seq() != rc.seq {
+		if resp.seq() != rc.seq {
 			rc.c.Close()
-			return fmt.Errorf("wire: response out of sequence from %s (got %d, want %d)", p.addr, sr.seq(), rc.seq)
+			return fmt.Errorf("wire: response out of sequence from %s (got %d, want %d)", p.addr, resp.seq(), rc.seq)
 		}
 		if d > 0 {
 			rc.c.SetDeadline(time.Time{})
@@ -180,6 +181,19 @@ func (p *connPool) close() {
 		rc.c.Close()
 	}
 	p.free = nil
+}
+
+// cloneStrings copies decoded strings out of their frame, for values
+// kept beyond the request that carried them.
+func cloneStrings(ss []string) []string {
+	if ss == nil {
+		return nil
+	}
+	out := make([]string, len(ss))
+	for i, s := range ss {
+		out[i] = strings.Clone(s)
+	}
+	return out
 }
 
 // refreshQueue implements replica.RefreshSource over a push stream.
@@ -257,8 +271,3 @@ func (q *refreshQueue) close() {
 	default:
 	}
 }
-
-// cloneWS deep-copies a writeset received from the network (defensive;
-// gob already allocates fresh storage, but the certifier retains
-// references).
-func cloneWS(ws *writeset.WriteSet) *writeset.WriteSet { return ws.Clone() }

@@ -6,10 +6,12 @@ import (
 	"sync"
 	"testing"
 	"time"
+	"unsafe"
 
 	"sconrep/internal/certifier"
 	"sconrep/internal/core"
 	"sconrep/internal/replica"
+	"sconrep/internal/sql"
 	"sconrep/internal/storage"
 )
 
@@ -24,7 +26,7 @@ type deployment struct {
 	gateway  *Gateway
 }
 
-func loadKV(t *testing.T, eng *storage.Engine) {
+func loadKV(t testing.TB, eng *storage.Engine) {
 	t.Helper()
 	err := eng.CreateTable(&storage.Schema{
 		Table:   "kv",
@@ -45,7 +47,9 @@ func loadKV(t *testing.T, eng *storage.Engine) {
 	}
 }
 
-func newDeployment(t *testing.T, n int, mode core.Mode) *deployment {
+// newDeployment starts the topology; opts apply to every dialing
+// endpoint (the replicas' certifier clients and the gateway).
+func newDeployment(t testing.TB, n int, mode core.Mode, opts ...Option) *deployment {
 	t.Helper()
 	d := &deployment{}
 	cert := certifier.New(append([]certifier.Option(nil), func() []certifier.Option {
@@ -63,7 +67,7 @@ func newDeployment(t *testing.T, n int, mode core.Mode) *deployment {
 	for i := 0; i < n; i++ {
 		eng := storage.NewEngine()
 		loadKV(t, eng)
-		cc := DialCertifier(d.certSrv.Addr(), i, eng.Version())
+		cc := DialCertifier(d.certSrv.Addr(), i, eng.Version(), opts...)
 		rep := replica.New(replica.Config{ID: i, EarlyCert: true}, eng, cc)
 		srv, err := ServeReplica(rep, "127.0.0.1:0")
 		if err != nil {
@@ -74,7 +78,7 @@ func newDeployment(t *testing.T, n int, mode core.Mode) *deployment {
 		d.repSrvs = append(d.repSrvs, srv)
 		replicaAddrs = append(replicaAddrs, srv.Addr())
 	}
-	d.gateway, err = ServeGateway("127.0.0.1:0", mode, replicaAddrs)
+	d.gateway, err = ServeGateway("127.0.0.1:0", mode, replicaAddrs, opts...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -345,7 +349,7 @@ func TestDistributedReplicaCrashFailover(t *testing.T) {
 func TestStatusAndStmtCache(t *testing.T) {
 	d := newDeployment(t, 1, core.Coarse)
 	rr := newRemoteReplica(0, d.repSrvs[0].Addr(), &options{})
-	resp, err := rr.call(&replicaRequest{Op: "status"})
+	resp, err := rr.call(&replicaRequest{Op: "status"}, &replicaResponse{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -371,6 +375,35 @@ func TestStatusAndStmtCache(t *testing.T) {
 	d.repSrvs[0].mu.Unlock()
 	if cached != 1 {
 		t.Fatalf("statement cache has %d entries, want 1", cached)
+	}
+}
+
+// TestStmtCacheBounded: statement texts are client-supplied, so 10k
+// distinct texts must leave the cache at its cap, and a cached key must
+// not share memory with the request frame it was decoded from.
+func TestStmtCacheBounded(t *testing.T) {
+	s := &ReplicaServer{stmts: make(map[string]*sql.Prepared)}
+	for i := 0; i < 10000; i++ {
+		text := fmt.Sprintf("SELECT v FROM kv WHERE k = %d", i)
+		if _, err := s.prepared(text); err != nil {
+			t.Fatal(err)
+		}
+		if len(s.stmts) > stmtCacheCap {
+			t.Fatalf("after %d texts the cache holds %d entries, cap %d", i+1, len(s.stmts), stmtCacheCap)
+		}
+	}
+	if len(s.stmts) != stmtCacheCap {
+		t.Fatalf("cache holds %d entries, want %d", len(s.stmts), stmtCacheCap)
+	}
+	frame := []byte("SELECT v FROM kv WHERE k = -1")
+	text := unsafe.String(&frame[0], len(frame))
+	if _, err := s.prepared(text); err != nil {
+		t.Fatal(err)
+	}
+	for k := range s.stmts {
+		if k == text && unsafe.StringData(k) == unsafe.StringData(text) {
+			t.Fatal("cached statement key aliases the request frame")
+		}
 	}
 }
 

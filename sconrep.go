@@ -341,16 +341,18 @@ func (s *SessionHandle) BeginWithTableSet(tables ...string) (*Tx, error) {
 	return &Tx{tx: tx}, nil
 }
 
-// Exec runs an ad-hoc SQL statement inside the transaction.
+// Exec runs an ad-hoc SQL statement inside the transaction. An early
+// certification abort surfaces here as ErrConflict.
 func (t *Tx) Exec(q string, args ...any) (*Result, error) {
 	r, err := t.tx.ExecSQL(q, args...)
-	return fromSQLResult(r), err
+	return fromSQLResult(r), mapErr(err)
 }
 
-// Stmt runs a prepared statement inside the transaction.
+// Stmt runs a prepared statement inside the transaction, mapping
+// errors like Exec.
 func (t *Tx) Stmt(st *Stmt, args ...any) (*Result, error) {
 	r, err := t.tx.Exec(st.p, args...)
-	return fromSQLResult(r), err
+	return fromSQLResult(r), mapErr(err)
 }
 
 // Commit finishes the transaction. ErrConflict means a concurrent
