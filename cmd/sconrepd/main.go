@@ -314,9 +314,9 @@ func runReplica(listen string, id int, certAddr, bootstrap, dataDir string, chec
 	}, backend, cc)
 	// Serve gate: while the refresh stream has been dead longer than the
 	// grace (or the replica is still catching up to the version floor it
-	// saw at resubscribe), begin requests fail with ErrUnavailable and
-	// the gateway routes elsewhere — a partitioned replica must not
-	// serve possibly stale strong reads.
+	// saw at resubscribe), requests that begin a transaction fail with
+	// ErrUnavailable and the gateway routes elsewhere — a partitioned
+	// replica must not serve possibly stale strong reads.
 	gate := func() error {
 		if cc.Ready(streamGrace) {
 			return nil

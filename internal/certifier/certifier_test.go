@@ -232,8 +232,10 @@ func TestDurabilityOrderAndRestore(t *testing.T) {
 	wg.Wait()
 
 	var versions []uint64
+	var lastTxn uint64 // the transaction logged at the newest version
 	if err := wal.Replay(bytes.NewReader(log.MemoryBytes()), func(r *wal.Record) error {
 		versions = append(versions, r.Version)
+		lastTxn = r.TxnID
 		return nil
 	}); err != nil {
 		t.Fatal(err)
@@ -258,8 +260,11 @@ func TestDurabilityOrderAndRestore(t *testing.T) {
 	if c2.Version() != 50 {
 		t.Fatalf("restored version = %d, want 50", c2.Version())
 	}
-	// The restored conflict index must still detect conflicts.
-	if d, err := c2.Certify(0, 999, 10, ws("key-20")); err != nil || d.Commit {
+	// The restored conflict index must still detect conflicts: a write
+	// to the key committed at version 50 conflicts with snapshot 10.
+	// (Which key that is depends on goroutine scheduling, so it is read
+	// from the log; a fixed key may have committed at or below 10.)
+	if d, err := c2.Certify(0, 999, 10, ws(fmt.Sprintf("key-%d", lastTxn))); err != nil || d.Commit {
 		t.Fatalf("restored certifier allowed a conflicting commit: %+v, %v", d, err)
 	}
 	if h := c2.History(49); len(h) != 1 || h[0].Version != 50 {

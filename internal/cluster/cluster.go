@@ -697,9 +697,13 @@ type Tx struct {
 	done   bool
 
 	// Networked path (rtx is nil): the gateway connection the
-	// transaction runs on, its begin snapshot, and the session epoch ID
-	// it was begun under.
+	// transaction runs on, its explicit table-set, whether its first
+	// request (which carries the begin) has been sent, the snapshot that
+	// request's response reported, and the session epoch ID the begin
+	// rode under.
 	wc     *wire.Client
+	tables []string
+	begun  bool
 	snap   uint64
 	sessID string
 
@@ -781,39 +785,52 @@ func (s *Session) BeginTables(tables []string) (*Tx, error) {
 	return &Tx{s: s, rtx: rtx, timer: timer, submit: submit, span: span}, nil
 }
 
-// netBegin starts a transaction over the wire. Begin leaves no state
-// behind when its response is lost (the gateway aborts on connection
-// death), so a transport failure is retried once on a fresh
-// connection.
+// netBegin starts a transaction over the wire. It only makes sure the
+// session has a gateway connection, dialing if needed so dial errors
+// surface here; the begin itself rides the transaction's first
+// request (see netCall).
 func (s *Session) netBegin(txnName string, tables []string, span *dtrace.ActiveSpan) (*Tx, error) {
 	submit := time.Now()
-	for attempt := 0; ; attempt++ {
-		wc, err := s.ensureClient()
-		if err != nil {
-			span.SetAttr("outcome", "error")
-			span.End()
-			return nil, err
-		}
-		sessID := s.effectiveID()
-		var snap uint64
-		if len(tables) > 0 {
-			snap, err = wc.BeginTablesTxCtx(tables, span.Context())
-		} else {
-			snap, err = wc.BeginTxCtx(txnName, span.Context())
-		}
-		if err != nil {
-			if wc.Broken() && attempt == 0 {
-				continue
-			}
-			span.SetAttr("outcome", "error")
-			span.End()
-			return nil, err
-		}
-		return &Tx{
-			s: s, timer: metrics.NewTxnTimer(), submit: submit, name: txnName,
-			wc: wc, snap: snap, sessID: sessID, span: span,
-		}, nil
+	wc, err := s.ensureClient()
+	if err == nil {
+		err = wc.BeginCtx(txnName, tables, span.Context())
 	}
+	if err != nil {
+		span.SetAttr("outcome", "error")
+		span.End()
+		return nil, err
+	}
+	return &Tx{
+		s: s, timer: metrics.NewTxnTimer(), submit: submit, name: txnName,
+		wc: wc, tables: tables, sessID: s.effectiveID(), span: span,
+	}, nil
+}
+
+// netCall runs one request of a networked transaction. The first one
+// carries the begin, and a transport failure on it is retried once on
+// a fresh connection: the gateway aborts whatever the lost request
+// began when the connection dies, so the retry cannot run the
+// transaction twice. The retry begins under the new connection's
+// session epoch, which the transaction then records as its session.
+func (t *Tx) netCall(do func(*wire.Client) error) error {
+	if t.begun {
+		return do(t.wc)
+	}
+	t.begun = true
+	err := do(t.wc)
+	if err != nil && t.wc.Broken() {
+		wc, derr := t.s.ensureClient()
+		if derr == nil {
+			derr = wc.BeginCtx(t.name, t.tables, t.span.Context())
+		}
+		if derr != nil {
+			return derr
+		}
+		t.wc, t.sessID = wc, t.s.effectiveID()
+		err = do(wc)
+	}
+	t.snap = t.wc.Snapshot()
+	return err
 }
 
 // Exec runs one prepared statement (one client round trip).
@@ -845,7 +862,11 @@ func (t *Tx) ExecSQL(src string, params ...any) (*sql.Result, error) {
 }
 
 func (t *Tx) netExec(src string, params ...any) (*sql.Result, error) {
-	res, err := t.wc.Exec(src, params...)
+	var res *sql.Result
+	err := t.netCall(func(wc *wire.Client) (err error) {
+		res, err = wc.Exec(src, params...)
+		return err
+	})
 	if err != nil {
 		t.failed(err)
 		return nil, err
@@ -943,7 +964,11 @@ func (t *Tx) Commit() (replica.CommitResult, error) {
 // commit whose ack was lost to a fault may well have happened, but the
 // client observed nothing, so the oracle has nothing to hold it to.
 func (t *Tx) netCommit() (replica.CommitResult, error) {
-	info, err := t.wc.CommitEx()
+	var info wire.CommitInfo
+	err := t.netCall(func(wc *wire.Client) (err error) {
+		info, err = wc.CommitEx()
+		return err
+	})
 	if err != nil {
 		t.endSpan("error", 0, err)
 		t.s.c.coll.RecordAbort()
@@ -979,7 +1004,10 @@ func (t *Tx) netCommit() (replica.CommitResult, error) {
 // Timer exposes the transaction's stage timer (tests).
 func (t *Tx) Timer() *metrics.TxnTimer { return t.timer }
 
-// Snapshot returns the version the transaction reads.
+// Snapshot returns the version the transaction reads. On a networked
+// cluster the begin rides the transaction's first statement (or its
+// commit), so the snapshot is chosen there: Snapshot is zero until that
+// request has run, then the snapshot its response reported.
 func (t *Tx) Snapshot() uint64 {
 	if t.wc != nil {
 		return t.snap

@@ -186,12 +186,9 @@ func NewNetworked(cfg Config, ncfg NetConfig) (*Cluster, error) {
 	// start gated and the first transactions would all reroute.
 	deadline := time.Now().Add(ncfg.ReadyTimeout)
 	for _, cc := range n.certClients {
-		for !cc.Ready(0) {
-			if time.Now().After(deadline) {
-				n.close(c)
-				return nil, fmt.Errorf("cluster: replica refresh streams not up within %s", ncfg.ReadyTimeout)
-			}
-			time.Sleep(2 * time.Millisecond)
+		if !cc.WaitReady(time.Until(deadline)) {
+			n.close(c)
+			return nil, fmt.Errorf("cluster: replica refresh streams not up within %s", ncfg.ReadyTimeout)
 		}
 	}
 	return c, nil

@@ -119,6 +119,15 @@ func TestMaintenanceUnderLoad(t *testing.T) {
 	if total == 0 {
 		t.Fatal("no commits under maintenance")
 	}
+	// Let every replica apply what was certified first: VacuumAll's
+	// watermark is the slowest replica's version, and one still
+	// applying the load's tail would leave that tail's versions behind.
+	v := c.Certifier().Version()
+	for i := 0; i < c.NumReplicas(); i++ {
+		if err := c.Replica(i).WaitVersion(v); err != nil {
+			t.Fatal(err)
+		}
+	}
 	// After a final vacuum at the current watermark, re-vacuuming at
 	// the very latest version can reclaim at most the one version of
 	// slack VacuumAll leaves per updated row — anything more means the

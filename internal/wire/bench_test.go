@@ -201,8 +201,9 @@ func (c *countingReader) Read(p []byte) (int, error) {
 }
 
 // BenchmarkWireRoundTrip measures one client transaction through the
-// whole TCP path: client → gateway → replica begin, a one-row key read,
-// and commit, over loopback. Every process runs in this one, so B/op
+// whole TCP path, client → gateway → replica, over loopback: a one-row
+// key read that carries the begin, then the commit, so two exchanges on
+// each link. Every process runs in this one, so B/op
 // and allocs/op count both ends of both links.
 func BenchmarkWireRoundTrip(b *testing.B) {
 	// The certifier logs its start-version adoption as the replica

@@ -891,6 +891,22 @@ func (c *CertClient) Ready(grace time.Duration) bool {
 	return true
 }
 
+// WaitReady blocks until Ready(0) holds or timeout passes, and reports
+// whether it did. Once it returns true the certifier has attached this
+// replica's subscription, so ESC commits certified from then on wait
+// for the replica's acknowledgment; deployments use it as their
+// readiness barrier.
+func (c *CertClient) WaitReady(timeout time.Duration) bool {
+	deadline := time.Now().Add(timeout)
+	for !c.Ready(0) {
+		if time.Now().After(deadline) {
+			return false
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
+	return true
+}
+
 // Unsubscribe implements replica.CertService: an explicit detach
 // (crash), told to the certifier so eager commits stop waiting for
 // this replica immediately instead of after the lease.

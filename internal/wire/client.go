@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bufio"
+	"errors"
 	"fmt"
 	"net"
 	"sync/atomic"
@@ -25,6 +26,16 @@ type Client struct {
 	// broken is set on any transport error: the session's gateway state
 	// is unknown and the caller must reconnect with a fresh session.
 	broken atomic.Bool
+
+	// begin holds the begin fields of a transaction begun but not yet
+	// sent (begin.Begin is set) until its first request carries them.
+	begin clientRequest
+	// open mirrors the gateway: its last response said the session has
+	// a transaction open.
+	open bool
+	// snap is the transaction's snapshot, from the response that
+	// carried its begin.
+	snap uint64
 }
 
 // Dial opens a session against a gateway.
@@ -54,6 +65,8 @@ func Dial(addr, sessionID string, opts ...Option) (*Client, error) {
 // Close ends the session.
 func (c *Client) Close() error { return c.conn.Close() }
 
+var errBroken = errors.New("wire: session broken, reconnect")
+
 // Broken reports whether the session hit a transport error. A broken
 // client cannot be reused: the gateway may have already aborted the
 // open transaction and dropped the session's version floor.
@@ -61,7 +74,7 @@ func (c *Client) Broken() bool { return c.broken.Load() }
 
 func (c *Client) call(req clientRequest) (*clientResponse, error) {
 	if c.broken.Load() {
-		return nil, fmt.Errorf("wire: session broken, reconnect")
+		return nil, errBroken
 	}
 	c.seq++
 	c.req = req
@@ -87,6 +100,7 @@ func (c *Client) call(req clientRequest) (*clientResponse, error) {
 		return nil, fmt.Errorf("wire: response out of sequence (got %d, want %d)", resp.Seq, c.seq)
 	}
 	c.conn.SetDeadline(time.Time{})
+	c.open = resp.Open
 	if resp.Err != "" {
 		fake := replicaResponse{Err: resp.Err, ErrCode: resp.ErrCode}
 		return resp, decodeErr(&fake)
@@ -101,42 +115,59 @@ func (c *Client) RegisterTxn(name string, tables []string) error {
 	return err
 }
 
-// Begin starts a transaction under the given name.
+var (
+	errTxnOpen = errors.New("wire: transaction already open on this session")
+	errNoTxn   = errors.New("wire: no open transaction")
+)
+
+// Begin starts a transaction under the given name; see BeginCtx.
 func (c *Client) Begin(txnName string) error {
-	_, err := c.BeginTx(txnName)
-	return err
+	return c.BeginCtx(txnName, nil, dtrace.SpanContext{})
 }
 
-// BeginTx starts a transaction and returns the snapshot version it
-// reads at.
-func (c *Client) BeginTx(txnName string) (snapshot uint64, err error) {
-	return c.BeginTxCtx(txnName, dtrace.SpanContext{})
-}
-
-// BeginTxCtx is BeginTx carrying the caller's span context, which the
-// gateway threads through its routing decision and the replica begin
-// so the whole chain joins one trace.
-func (c *Client) BeginTxCtx(txnName string, sc dtrace.SpanContext) (snapshot uint64, err error) {
-	resp, err := c.call(clientRequest{Op: "begin", TxnName: txnName, Trace: sc})
-	if err != nil {
-		return 0, err
+// BeginCtx starts a transaction under txnName or, when tables is
+// non-empty, tagged with that explicit table-set (the fine-grained
+// mode's footnote-1 alternative to registration). sc is the caller's
+// span context, which the gateway threads through its routing decision
+// and the replica begin so the whole chain joins one trace.
+//
+// BeginCtx sends nothing: the transaction's first Exec, or its
+// CommitEx when it runs no statement, carries the begin. Routing and
+// the version wait happen there, and so do their errors. A begin that
+// fails leaves the session idle, so the caller begins again.
+func (c *Client) BeginCtx(txnName string, tables []string, sc dtrace.SpanContext) error {
+	if c.broken.Load() {
+		return errBroken
 	}
-	return resp.Snapshot, nil
-}
-
-// BeginTablesTx starts a transaction tagged with an explicit table-set
-// (the fine-grained mode's footnote-1 alternative to registration).
-func (c *Client) BeginTablesTx(tables []string) (snapshot uint64, err error) {
-	return c.BeginTablesTxCtx(tables, dtrace.SpanContext{})
-}
-
-// BeginTablesTxCtx is BeginTablesTx carrying the caller's span context.
-func (c *Client) BeginTablesTxCtx(tables []string, sc dtrace.SpanContext) (snapshot uint64, err error) {
-	resp, err := c.call(clientRequest{Op: "begin", Tables: tables, Trace: sc})
-	if err != nil {
-		return 0, err
+	if c.begin.Begin || c.open {
+		return errTxnOpen
 	}
-	return resp.Snapshot, nil
+	c.snap = 0
+	c.begin = clientRequest{Begin: true, TxnName: txnName, Tables: tables, Trace: sc}
+	return nil
+}
+
+// Snapshot returns the version the session's transaction reads at, as
+// reported by the response that carried its begin; zero before that
+// response, or when the begin failed.
+func (c *Client) Snapshot() uint64 { return c.snap }
+
+// txnCall sends a transaction's exec or commit. The transaction's
+// first request also carries its begin.
+func (c *Client) txnCall(req clientRequest) (*clientResponse, error) {
+	if !c.begin.Begin {
+		if !c.open {
+			return nil, errNoTxn
+		}
+		return c.call(req)
+	}
+	req.Begin, req.TxnName, req.Tables, req.Trace = true, c.begin.TxnName, c.begin.Tables, c.begin.Trace
+	c.begin = clientRequest{}
+	resp, err := c.call(req)
+	if resp != nil {
+		c.snap = resp.Snapshot
+	}
+	return resp, err
 }
 
 // Exec runs one SQL statement in the open transaction. The result's
@@ -144,7 +175,7 @@ func (c *Client) BeginTablesTxCtx(tables []string, sc dtrace.SpanContext) (snaps
 // few values from a large result long-term should copy them
 // (strings.Clone) so they do not pin the rest.
 func (c *Client) Exec(query string, params ...any) (*sql.Result, error) {
-	resp, err := c.call(clientRequest{Op: "exec", SQL: query, Params: params})
+	resp, err := c.txnCall(clientRequest{Op: "exec", SQL: query, Params: params})
 	if err != nil {
 		return nil, err
 	}
@@ -172,9 +203,10 @@ func (c *Client) Commit() (version uint64, readOnly bool, err error) {
 }
 
 // CommitEx finishes the open transaction and returns the full commit
-// observation.
+// observation. A transaction that ran no statement begins and commits
+// in this one exchange, as a read-only transaction.
 func (c *Client) CommitEx() (CommitInfo, error) {
-	resp, err := c.call(clientRequest{Op: "commit"})
+	resp, err := c.txnCall(clientRequest{Op: "commit"})
 	if err != nil {
 		return CommitInfo{}, err
 	}
@@ -187,8 +219,13 @@ func (c *Client) CommitEx() (CommitInfo, error) {
 	}, nil
 }
 
-// Abort discards the open transaction.
+// Abort discards the open transaction. One that has not sent its
+// begin yet has nothing at the gateway, and aborting it sends nothing.
 func (c *Client) Abort() error {
+	c.begin = clientRequest{}
+	if !c.open {
+		return nil
+	}
 	_, err := c.call(clientRequest{Op: "abort"})
 	return err
 }

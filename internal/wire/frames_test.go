@@ -45,16 +45,16 @@ func sampleResult() *sql.Result {
 func clientLinkFrames() []wireFrame {
 	return []wireFrame{
 		&clientHello{SessionID: "alice"},
-		&clientRequest{Seq: 3, Op: "exec", Name: "txn", Tables: []string{"kv", "orders"}, TxnName: "tpcw.home",
+		&clientRequest{Seq: 3, Op: "exec", Name: "txn", Tables: []string{"kv", "orders"}, Begin: true, TxnName: "tpcw.home",
 			Trace: sampleSpan(), SQL: "SELECT v FROM kv WHERE k = ?", Params: []any{int64(1), "s", 1.5, false, nil}},
 		&clientResponse{Seq: 3, Err: "boom", ErrCode: "conflict", Result: sampleResult(), Snapshot: 9,
-			Version: 10, ReadOnly: true, WriteTables: []string{"kv"}, ReadTables: []string{"kv", "orders"}},
+			Version: 10, ReadOnly: true, WriteTables: []string{"kv"}, ReadTables: []string{"kv", "orders"}, Open: true},
 	}
 }
 
 func replicaLinkFrames() []wireFrame {
 	return []wireFrame{
-		&replicaRequest{Seq: 4, Op: "exec", MinVersion: 8, Trace: sampleSpan(), TxnID: 12,
+		&replicaRequest{Seq: 4, Op: "exec", Begin: true, MinVersion: 8, Trace: sampleSpan(), TxnID: 12,
 			SQL: "UPDATE kv SET v = ? WHERE k = ?", Params: []any{"x", int64(3)}, Eager: true},
 		&replicaResponse{Seq: 4, Err: "boom", ErrCode: "crashed", TxnID: 12, Snapshot: 8, Result: sampleResult(),
 			Commit: replica.CommitResult{Version: 11, ReadOnly: true, WrittenTables: []string{"kv"},
@@ -87,25 +87,15 @@ var (
 )
 
 // captureFrames runs a small deployment over loopback — a session that
-// registers a transaction, commits an update, and runs a traced read —
-// and returns every frame its links carried. Captured once per process.
+// registers a transaction, commits an update, commits a traced read and
+// update, commits a transaction that ran no statement and aborts one
+// that did — and returns every frame its links carried. Captured once
+// per process.
 func captureFrames(tb testing.TB) capturedFrames {
 	captureOnce.Do(func() {
-		var mu sync.Mutex
-		var conns []*recordingConn
-		record := func(network, addr string) (net.Conn, error) {
-			c, err := net.Dial(network, addr)
-			if err != nil {
-				return nil, err
-			}
-			rc := &recordingConn{Conn: c}
-			mu.Lock()
-			conns = append(conns, rc)
-			mu.Unlock()
-			return rc, nil
-		}
-		d := newDeployment(tb, 2, core.Fine, WithDialer(record))
-		c, err := Dial(d.gateway.Addr(), "capture", WithDialer(record))
+		var rec linkRecorder
+		d := newDeployment(tb, 2, core.Fine, WithDialer(rec.dial))
+		c, err := Dial(d.gateway.Addr(), "capture", WithDialer(rec.dial))
 		if err != nil {
 			tb.Fatal(err)
 		}
@@ -114,9 +104,15 @@ func captureFrames(tb testing.TB) capturedFrames {
 			func() error { return c.Begin("update") },
 			func() error { _, err := c.Exec(`UPDATE kv SET v = ? WHERE k = ?`, "captured", int64(1)); return err },
 			func() error { _, _, err := c.Commit(); return err },
-			func() error { _, err := c.BeginTablesTxCtx([]string{"kv"}, sampleSpan()); return err },
+			func() error { return c.BeginCtx("", []string{"kv"}, sampleSpan()) },
 			func() error { _, err := c.Exec(`SELECT k, v FROM kv WHERE k < ?`, int64(3)); return err },
+			func() error { _, err := c.Exec(`UPDATE kv SET v = ? WHERE k = ?`, "traced", int64(2)); return err },
 			func() error { _, _, err := c.Commit(); return err },
+			func() error { return c.Begin("update") },
+			func() error { _, _, err := c.Commit(); return err },
+			func() error { return c.Begin("") },
+			func() error { _, err := c.Exec(`SELECT v FROM kv WHERE k = ?`, int64(2)); return err },
+			c.Abort,
 		}
 		for _, step := range steps {
 			if err := step(); err != nil {
@@ -124,25 +120,53 @@ func captureFrames(tb testing.TB) capturedFrames {
 			}
 		}
 		c.Close()
-		mu.Lock()
-		defer mu.Unlock()
-		for _, rc := range conns {
-			w, r := rc.streams()
-			if len(w) < len(clientPreamble) {
-				continue
-			}
-			frames := append(splitFrames(w[len(clientPreamble):]), splitFrames(r)...)
-			switch string(w[:len(clientPreamble)]) {
-			case clientPreamble:
-				captured.client = append(captured.client, frames...)
-			case replicaPreamble:
-				captured.replica = append(captured.replica, frames...)
-			case certPreamble:
-				captured.cert = append(captured.cert, frames...)
-			}
-		}
+		captured = rec.frames()
 	})
 	return captured
+}
+
+// linkRecorder is a dialer that records every connection it opens.
+type linkRecorder struct {
+	mu    sync.Mutex
+	conns []*recordingConn
+}
+
+func (l *linkRecorder) dial(network, addr string) (net.Conn, error) {
+	c, err := net.Dial(network, addr)
+	if err != nil {
+		return nil, err
+	}
+	rc := &recordingConn{Conn: c}
+	l.mu.Lock()
+	l.conns = append(l.conns, rc)
+	l.mu.Unlock()
+	return rc, nil
+}
+
+// frames returns the frame payloads the recorded connections carried
+// so far in both directions, by link class.
+func (l *linkRecorder) frames() capturedFrames {
+	both := func(link string) [][]byte {
+		w, r := l.streams(link)
+		return append(w, r...)
+	}
+	return capturedFrames{client: both(clientPreamble), replica: both(replicaPreamble), cert: both(certPreamble)}
+}
+
+// streams returns the frame payloads written and read so far on the
+// recorded connections of one link class, its preamble stripped.
+func (l *linkRecorder) streams(link string) (written, read [][]byte) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	for _, rc := range l.conns {
+		w, r := rc.streams()
+		if len(w) < len(link) || string(w[:len(link)]) != link {
+			continue
+		}
+		written = append(written, splitFrames(w[len(link):])...)
+		read = append(read, splitFrames(r)...)
+	}
+	return written, read
 }
 
 // splitFrames cuts a recorded byte stream into frame payloads; a

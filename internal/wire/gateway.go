@@ -32,13 +32,16 @@ var clientHelloTable = frameTable{name: "clientHello", fields: []fieldSpec{
 type clientRequest struct {
 	// Seq numbers requests per connection; see seqGuard.
 	Seq uint64
-	Op  string // "register", "begin", "exec", "commit", "abort"
+	Op  string // "register", "exec", "commit", "abort"
 
-	// register; for begin, an explicit table-set (DispatchTables)
+	// register; for a begin, an explicit table-set (DispatchTables)
 	Name   string
 	Tables []string
 
-	// begin
+	// Begin marks a transaction's first exec or commit, which also
+	// begins it: the gateway routes it by TxnName (or Tables) and the
+	// replica begins the transaction before running the request.
+	Begin   bool
 	TxnName string
 	// Trace is the client-side root span's context, propagated through
 	// the lb route and the replica begin. Optional: untraced clients
@@ -59,6 +62,7 @@ var clientRequestTable = frameTable{name: "clientRequest", fields: []fieldSpec{
 	{6, "Trace", kindSpan},
 	{7, "SQL", kindString},
 	{8, "Params", kindValues},
+	{9, "Begin", kindBool},
 }}
 
 type clientResponse struct {
@@ -66,13 +70,18 @@ type clientResponse struct {
 	Err     string
 	ErrCode string
 	Result  *sql.Result
-	// begin / commit
+	// Snapshot is the transaction's snapshot, on the response to the
+	// request that carried its begin and on a commit's.
 	Snapshot uint64
 	// commit
 	Version     uint64
 	ReadOnly    bool
 	WriteTables []string
 	ReadTables  []string
+	// Open reports whether the session has a transaction open after
+	// this request, so the client never has to guess whether a failed
+	// request began or ended one.
+	Open bool
 }
 
 var clientResponseTable = frameTable{name: "clientResponse", fields: []fieldSpec{
@@ -85,6 +94,7 @@ var clientResponseTable = frameTable{name: "clientResponse", fields: []fieldSpec
 	{7, "ReadOnly", kindBool},
 	{8, "WriteTables", kindStrings},
 	{9, "ReadTables", kindStrings},
+	{10, "Open", kindBool},
 }}
 
 func (m *clientHello) appendPayload(b []byte) ([]byte, error) {
@@ -119,7 +129,11 @@ func (m *clientRequest) appendPayload(b []byte) ([]byte, error) {
 	b = appendStringField(b, 5, m.TxnName)
 	b = appendSpanField(b, 6, m.Trace)
 	b = appendStringField(b, 7, m.SQL)
-	return appendValuesField(b, 8, m.Params)
+	b, err := appendValuesField(b, 8, m.Params)
+	if err != nil {
+		return nil, err
+	}
+	return appendBoolField(b, 9, m.Begin), nil
 }
 
 func (m *clientRequest) parsePayload(p []byte) error {
@@ -146,6 +160,8 @@ func (m *clientRequest) parsePayload(p []byte) error {
 			m.SQL, err = d.stringField(wt)
 		case 8:
 			m.Params, err = d.valuesField(wt)
+		case 9:
+			m.Begin, err = d.boolField(wt)
 		default:
 			err = d.skip(wt)
 		}
@@ -168,7 +184,8 @@ func (m *clientResponse) appendPayload(b []byte) ([]byte, error) {
 	b = appendUintField(b, 6, m.Version)
 	b = appendBoolField(b, 7, m.ReadOnly)
 	b = appendStringsField(b, 8, m.WriteTables)
-	return appendStringsField(b, 9, m.ReadTables), nil
+	b = appendStringsField(b, 9, m.ReadTables)
+	return appendBoolField(b, 10, m.Open), nil
 }
 
 func (m *clientResponse) parsePayload(p []byte) error {
@@ -197,6 +214,8 @@ func (m *clientResponse) parsePayload(p []byte) error {
 			m.WriteTables, err = d.stringsField(wt)
 		case 9:
 			m.ReadTables, err = d.stringsField(wt)
+		case 10:
+			m.Open, err = d.boolField(wt)
 		default:
 			err = d.skip(wt)
 		}
@@ -205,6 +224,13 @@ func (m *clientResponse) parsePayload(p []byte) error {
 		}
 	}
 	return nil
+}
+
+// fail records err as the response's error.
+func (m *clientResponse) fail(err error) *clientResponse {
+	m.Err = err.Error()
+	m.ErrCode = errCode(err)
+	return m
 }
 
 // Gateway is the networked load balancer: it accepts client sessions,
@@ -390,6 +416,7 @@ func (g *Gateway) handle(c net.Conn) {
 		}
 		g.dispatch(sess, &req, &resp)
 		resp.Seq = req.Seq
+		resp.Open = sess.open
 		if err := writeFrame(c, nil, &resp); err != nil {
 			return
 		}
@@ -403,19 +430,36 @@ func (g *Gateway) dispatch(sess *gatewaySession, req *clientRequest, resp *clien
 	g.mu.Unlock()
 	reqs.With(req.Op).Inc()
 	*resp = clientResponse{}
-	fail := func(err error) *clientResponse {
-		resp.Err = err.Error()
-		resp.ErrCode = errCode(err)
-		return resp
-	}
 	switch req.Op {
 	case "register":
 		// The registry keeps the name and table-set for good; copy them
 		// out of the request frame.
 		g.balancer.RegisterTxn(strings.Clone(req.Name), cloneStrings(req.Tables))
-	case "begin":
+	case "exec", "commit":
+		return g.txnRequest(sess, req, resp)
+	case "abort":
 		if sess.open {
-			return fail(errors.New("wire: transaction already open on this session"))
+			sess.open = false
+			sess.replica.active.Add(-1)
+			_, _ = sess.call(sess.replica, replicaRequest{Op: "abort", TxnID: sess.txnID})
+		}
+	default:
+		return resp.fail(fmt.Errorf("wire: unknown client op %q", req.Op))
+	}
+	return resp
+}
+
+// txnRequest serves an exec or commit. One that carries the begin is
+// routed first and begins the transaction at the replica in the same
+// exchange; the session opens only if the replica reports the
+// transaction it began, so a failed begin leaves the session idle.
+func (g *Gateway) txnRequest(sess *gatewaySession, req *clientRequest, resp *clientResponse) *clientResponse {
+	commit := req.Op == "commit"
+	rreq := replicaRequest{Op: req.Op, SQL: req.SQL, Params: req.Params, Eager: commit && g.balancer.Mode() == core.Eager}
+	rr := sess.replica
+	if req.Begin {
+		if sess.open {
+			return resp.fail(errTxnOpen)
 		}
 		var route lb.Route
 		var err error
@@ -425,49 +469,40 @@ func (g *Gateway) dispatch(sess *gatewaySession, req *clientRequest, resp *clien
 			route, err = g.balancer.DispatchCtx(sess.id, req.TxnName, req.Trace)
 		}
 		if err != nil {
-			return fail(err)
+			return resp.fail(err)
 		}
-		rr := route.Node.(*remoteReplica)
+		rr = route.Node.(*remoteReplica)
 		rr.active.Add(1)
 		// An untraced (or pre-tracing) client supplies no span context;
 		// fall back to the route span so the replica's work still joins
 		// a gateway-rooted trace instead of fragmenting.
-		downstream := req.Trace
-		if !downstream.Valid() {
-			downstream = route.Trace
+		rreq.Begin, rreq.MinVersion, rreq.Trace = true, route.MinVersion, req.Trace
+		if !rreq.Trace.Valid() {
+			rreq.Trace = route.Trace
 		}
-		r, err := sess.call(rr, replicaRequest{Op: "begin", MinVersion: route.MinVersion, Trace: downstream})
-		if err != nil {
+	} else {
+		if !sess.open {
+			return resp.fail(errNoTxn)
+		}
+		rreq.TxnID = sess.txnID
+	}
+	r, err := sess.call(rr, rreq)
+	if req.Begin {
+		if r == nil || r.TxnID == 0 {
 			rr.active.Add(-1)
-			return fail(err)
-		}
-		sess.replica = rr
-		sess.txnID = r.TxnID
-		sess.open = true
-		resp.Snapshot = r.Snapshot
-	case "exec":
-		if !sess.open {
-			return fail(errors.New("wire: no open transaction"))
-		}
-		r, err := sess.call(sess.replica, replicaRequest{Op: "exec", TxnID: sess.txnID, SQL: req.SQL, Params: req.Params})
-		if err != nil {
-			if errors.Is(err, replica.ErrEarlyAbort) || errors.Is(err, replica.ErrCertifyConflict) || errors.Is(err, replica.ErrCrashed) {
-				sess.open = false
-				sess.replica.active.Add(-1)
+			if err == nil {
+				err = errors.New("wire: replica began no transaction")
 			}
-			return fail(err)
+			return resp.fail(err)
 		}
-		resp.Result = r.Result
-	case "commit":
-		if !sess.open {
-			return fail(errors.New("wire: no open transaction"))
-		}
+		sess.replica, sess.txnID, sess.open = rr, r.TxnID, true
+		resp.Snapshot = r.Snapshot
+	}
+	if commit {
 		sess.open = false
-		sess.replica.active.Add(-1)
-		eager := g.balancer.Mode() == core.Eager
-		r, err := sess.call(sess.replica, replicaRequest{Op: "commit", TxnID: sess.txnID, Eager: eager})
+		rr.active.Add(-1)
 		if err != nil {
-			return fail(err)
+			return resp.fail(err)
 		}
 		// The tracker may keep written table names as map keys.
 		r.Commit.WrittenTables = cloneStrings(r.Commit.WrittenTables)
@@ -477,14 +512,15 @@ func (g *Gateway) dispatch(sess *gatewaySession, req *clientRequest, resp *clien
 		resp.Snapshot = r.Snapshot
 		resp.WriteTables = r.Commit.WrittenTables
 		resp.ReadTables = r.Touched
-	case "abort":
-		if sess.open {
-			sess.open = false
-			sess.replica.active.Add(-1)
-			_, _ = sess.call(sess.replica, replicaRequest{Op: "abort", TxnID: sess.txnID})
-		}
-	default:
-		return fail(fmt.Errorf("wire: unknown client op %q", req.Op))
+		return resp
 	}
+	if err != nil {
+		if errors.Is(err, replica.ErrEarlyAbort) || errors.Is(err, replica.ErrCertifyConflict) || errors.Is(err, replica.ErrCrashed) {
+			sess.open = false
+			rr.active.Add(-1)
+		}
+		return resp.fail(err)
+	}
+	resp.Result = r.Result
 	return resp
 }

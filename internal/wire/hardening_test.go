@@ -12,6 +12,7 @@ import (
 
 	"sconrep/internal/certifier"
 	"sconrep/internal/core"
+	"sconrep/internal/latency"
 	"sconrep/internal/metrics"
 	"sconrep/internal/replica"
 	"sconrep/internal/storage"
@@ -170,8 +171,9 @@ func TestWrongProtocolFailsFast(t *testing.T) {
 }
 
 // TestBinaryClientFailsFastOnGobServer is the other direction: a
-// current client reaching a server that still speaks gob errors out
-// (the preamble's first byte is one gob rejects) instead of hanging.
+// current client reaching a server that still speaks gob errors out at
+// its first request (the preamble's first byte is one gob rejects)
+// instead of hanging.
 func TestBinaryClientFailsFastOnGobServer(t *testing.T) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -192,9 +194,17 @@ func TestBinaryClientFailsFastOnGobServer(t *testing.T) {
 		return // refused at the hello: also a clean failure
 	}
 	defer c.Close()
-	err = c.Begin("")
+	// Begin sends nothing; the first statement carries it, and is the
+	// first request frame the server sees.
+	if err := c.Begin(""); err != nil {
+		t.Fatal(err)
+	}
+	_, err = c.Exec(`SELECT v FROM kv WHERE k = ?`, int64(1))
 	if err == nil {
-		t.Fatal("begin against a gob server succeeded")
+		t.Fatal("the first statement against a gob server succeeded")
+	}
+	if !c.Broken() {
+		t.Fatalf("exec against a gob server failed without breaking the session: %v", err)
 	}
 	if errors.Is(err, os.ErrDeadlineExceeded) {
 		t.Fatal("client hung until its deadline instead of failing fast")
@@ -386,5 +396,84 @@ func TestLossyCertifierRestartAdoptsLiveVersion(t *testing.T) {
 	}
 	if kv := snapshotKV(t, eng); kv[1] != "after" {
 		t.Fatalf("post-restart state = %v", kv)
+	}
+}
+
+// TestAbortWaitsForInFlightExec: the gateway's abort for a transaction
+// can arrive on one pooled connection while an exec of the same
+// transaction still runs on another (the client's connection died
+// mid-statement). The replica server must serialize the two, so the
+// abort lands after the statement, instead of running replica.Txn's
+// Abort concurrently with its Exec.
+func TestAbortWaitsForInFlightExec(t *testing.T) {
+	eng := storage.NewEngine()
+	loadKV(t, eng)
+	const stmt = 300 * time.Millisecond
+	rep := replica.New(replica.Config{ID: 0, EarlyCert: true,
+		Latency: latency.NewSource(latency.Model{StatementCPU: stmt}, 1)}, eng, replica.Local(certifier.New()))
+	defer rep.Crash()
+	srv, err := ServeReplica(rep, "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	// ErrTxnDone crosses the wire as its message.
+	txnDone := func(err error) bool { return err != nil && err.Error() == replica.ErrTxnDone.Error() }
+	o := buildOptions(nil)
+	execLink, abortLink := newRemoteReplica(0, srv.Addr(), &o), newRemoteReplica(0, srv.Addr(), &o)
+	defer execLink.pool.close()
+	defer abortLink.pool.close()
+
+	var resp replicaResponse
+	r, err := execLink.call(&replicaRequest{Op: "exec", Begin: true, SQL: `SELECT v FROM kv WHERE k = 1`}, &resp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	id := r.TxnID
+	const update = `UPDATE kv SET v = 'x' WHERE k = 1`
+	execErr := make(chan error, 1)
+	sent := time.Now()
+	go func() {
+		var resp replicaResponse
+		_, err := execLink.call(&replicaRequest{Op: "exec", TxnID: id, SQL: update}, &resp)
+		execErr <- err
+	}()
+	// Wait until the exec runs: its statement enters the server's cache
+	// right before the statement's stmt-long execution starts.
+	running := func() bool {
+		srv.mu.Lock()
+		defer srv.mu.Unlock()
+		_, ok := srv.stmts[update]
+		return ok
+	}
+	for deadline := time.Now().Add(5 * time.Second); !running(); time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the exec never reached the replica server")
+		}
+	}
+	if _, err := abortLink.call(&replicaRequest{Op: "abort", TxnID: id}, &resp); err != nil {
+		t.Fatal(err)
+	}
+	aborted := time.Since(sent)
+	switch err := <-execErr; {
+	case txnDone(err):
+		// The abort reached the transaction first; the statement found
+		// it gone instead of running on an aborted transaction.
+	case err != nil:
+		t.Fatal(err)
+	case aborted < stmt:
+		// The statement ran, taking at least stmt from its send, so an
+		// abort serialized behind it cannot have answered sooner.
+		t.Fatalf("abort answered %s after the exec was sent, while its %s statement was still running", aborted, stmt)
+	}
+	if n := rep.Active(); n != 0 {
+		t.Fatalf("%d transactions still active after the abort", n)
+	}
+	if _, err := execLink.call(&replicaRequest{Op: "commit", TxnID: id}, &resp); !txnDone(err) {
+		t.Fatalf("commit after abort: %v, want ErrTxnDone", err)
+	}
+	r, err = execLink.call(&replicaRequest{Op: "commit", Begin: true}, &resp)
+	if err != nil || r.Commit.Version != eng.Version() || r.Commit.Version != r.Snapshot {
+		t.Fatalf("aborted update reached the engine: commit %+v at engine version %d, err %v", r, eng.Version(), err)
 	}
 }

@@ -24,15 +24,17 @@ import (
 type replicaRequest struct {
 	// Seq numbers requests per connection; see seqGuard.
 	Seq uint64
-	Op  string // "begin", "exec", "commit", "abort", "status"
+	Op  string // "exec", "commit", "abort", "status"
 
-	// begin
+	// Begin marks an exec or commit that first begins its transaction
+	// at MinVersion; the response reports the new TxnID.
+	Begin      bool
 	MinVersion uint64
-	// Trace is the caller's span context for begin — optional: a zero
-	// context means "untraced".
+	// Trace is the caller's span context for the begin — optional: a
+	// zero context means "untraced".
 	Trace dtrace.SpanContext
 
-	// exec / commit / abort
+	// exec / commit / abort; TxnID is unset on a request that begins.
 	TxnID  uint64
 	SQL    string
 	Params []any
@@ -48,6 +50,7 @@ var replicaRequestTable = frameTable{name: "replicaRequest", fields: []fieldSpec
 	{6, "SQL", kindString},
 	{7, "Params", kindValues},
 	{8, "Eager", kindBool},
+	{9, "Begin", kindBool},
 }}
 
 type replicaResponse struct {
@@ -55,6 +58,9 @@ type replicaResponse struct {
 	Err     string
 	ErrCode string // "conflict", "crashed", "unavailable", "" — retryability over the wire
 
+	// TxnID and Snapshot answer a request that began a transaction
+	// (TxnID is set only if the begin succeeded); a commit also reports
+	// its Snapshot.
 	TxnID    uint64
 	Snapshot uint64
 	Result   *sql.Result
@@ -98,7 +104,8 @@ func (r *replicaRequest) appendPayload(b []byte) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	return appendBoolField(b, 8, r.Eager), nil
+	b = appendBoolField(b, 8, r.Eager)
+	return appendBoolField(b, 9, r.Begin), nil
 }
 
 func (r *replicaRequest) parsePayload(p []byte) error {
@@ -125,6 +132,8 @@ func (r *replicaRequest) parsePayload(p []byte) error {
 			r.Params, err = d.valuesField(wt)
 		case 8:
 			r.Eager, err = d.boolField(wt)
+		case 9:
+			r.Begin, err = d.boolField(wt)
 		default:
 			err = d.skip(wt)
 		}
@@ -250,6 +259,7 @@ type ReplicaServer struct {
 	ln   net.Listener
 	opts options
 
+	// locks after wireTxn.mu
 	mu sync.Mutex
 	// closed refuses new connections.
 	// guarded by mu
@@ -259,7 +269,7 @@ type ReplicaServer struct {
 	conns map[net.Conn]struct{}
 	// txns maps wire txn IDs to open transactions.
 	// guarded by mu
-	txns map[uint64]*replica.Txn
+	txns map[uint64]*wireTxn
 	// next is the last issued wire txn ID.
 	// guarded by mu
 	next uint64
@@ -295,7 +305,7 @@ func ServeReplica(rep *replica.Replica, addr string, opts ...Option) (*ReplicaSe
 		ln:    ln,
 		opts:  buildOptions(opts),
 		conns: make(map[net.Conn]struct{}),
-		txns:  make(map[uint64]*replica.Txn),
+		txns:  make(map[uint64]*wireTxn),
 		stmts: make(map[string]*sql.Prepared),
 	}
 	go s.acceptLoop()
@@ -365,11 +375,36 @@ func (s *ReplicaServer) prepared(text string) (*sql.Prepared, error) {
 	return p, nil
 }
 
-func (s *ReplicaServer) getTxn(id uint64) (*replica.Txn, bool) {
+// wireTxn is one transaction open over the wire.
+type wireTxn struct {
+	id uint64
+	// mu serializes the transaction's operations. They arrive on the
+	// gateway's pooled connections, so an abort (the client connection
+	// died) can arrive on one while an exec still runs on another, and
+	// replica.Txn is not safe for concurrent use.
+	mu sync.Mutex
+	// guarded by mu
+	tx *replica.Txn
+	// done marks the transaction committed or aborted.
+	// guarded by mu
+	done bool
+}
+
+// register opens tx under a fresh wire txn ID.
+func (s *ReplicaServer) register(tx *replica.Txn) *wireTxn {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	tx, ok := s.txns[id]
-	return tx, ok
+	s.next++
+	wt := &wireTxn{id: s.next, tx: tx}
+	s.txns[wt.id] = wt
+	return wt
+}
+
+func (s *ReplicaServer) getTxn(id uint64) (*wireTxn, bool) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	wt, ok := s.txns[id]
+	return wt, ok
 }
 
 func (s *ReplicaServer) dropTxn(id uint64) {
@@ -428,6 +463,13 @@ func (s *ReplicaServer) handle(c net.Conn) {
 	}
 }
 
+// fail records err as the response's error.
+func (r *replicaResponse) fail(err error) *replicaResponse {
+	r.Err = err.Error()
+	r.ErrCode = errCode(err)
+	return r
+}
+
 // dispatch serves one request, filling resp.
 func (s *ReplicaServer) dispatch(req *replicaRequest, resp *replicaResponse) *replicaResponse {
 	s.mu.Lock()
@@ -435,71 +477,18 @@ func (s *ReplicaServer) dispatch(req *replicaRequest, resp *replicaResponse) *re
 	s.mu.Unlock()
 	reqs.With(req.Op).Inc()
 	*resp = replicaResponse{}
-	fail := func(err error) *replicaResponse {
-		resp.Err = err.Error()
-		resp.ErrCode = errCode(err)
-		return resp
-	}
 	switch req.Op {
-	case "begin":
-		if g := s.opts.gate; g != nil {
-			if err := g(); err != nil {
-				return fail(err)
-			}
-		}
-		tx, err := s.rep.BeginCtx(req.MinVersion, metrics.NewTxnTimer(), req.Trace)
-		if err != nil {
-			return fail(err)
-		}
-		s.mu.Lock()
-		s.next++
-		id := s.next
-		s.txns[id] = tx
-		s.mu.Unlock()
-		resp.TxnID = id
-		resp.Snapshot = tx.Snapshot()
-	case "exec":
-		tx, ok := s.getTxn(req.TxnID)
-		if !ok {
-			return fail(replica.ErrTxnDone)
-		}
-		p, err := s.prepared(req.SQL)
-		if err != nil {
-			return fail(err)
-		}
-		// String parameters can land in stored rows; copy them out of
-		// the request frame so a row never pins it.
-		for i, v := range req.Params {
-			if str, ok := v.(string); ok {
-				req.Params[i] = strings.Clone(str)
-			}
-		}
-		res, err := tx.Exec(p, req.Params...)
-		if err != nil {
-			if errors.Is(err, replica.ErrEarlyAbort) || errors.Is(err, replica.ErrCrashed) {
-				s.dropTxn(req.TxnID)
-			}
-			return fail(err)
-		}
-		resp.Result = res
-	case "commit":
-		tx, ok := s.getTxn(req.TxnID)
-		if !ok {
-			return fail(replica.ErrTxnDone)
-		}
-		s.dropTxn(req.TxnID)
-		touched := tx.Touched()
-		cres, err := tx.Commit(req.Eager)
-		if err != nil {
-			return fail(err)
-		}
-		resp.Commit = cres
-		resp.Snapshot = tx.Snapshot()
-		resp.Touched = touched
+	case "exec", "commit":
+		return s.txnRequest(req, resp)
 	case "abort":
-		if tx, ok := s.getTxn(req.TxnID); ok {
-			s.dropTxn(req.TxnID)
-			tx.Abort()
+		if wt, ok := s.getTxn(req.TxnID); ok {
+			s.dropTxn(wt.id)
+			wt.mu.Lock()
+			if !wt.done {
+				wt.done = true
+				wt.tx.Abort()
+			}
+			wt.mu.Unlock()
 		}
 	case "status":
 		resp.Version = s.rep.Version()
@@ -510,8 +499,85 @@ func (s *ReplicaServer) dispatch(req *replicaRequest, resp *replicaResponse) *re
 			resp.Ready = false
 		}
 	default:
-		return fail(fmt.Errorf("wire: unknown replica op %q", req.Op))
+		return resp.fail(fmt.Errorf("wire: unknown replica op %q", req.Op))
 	}
+	return resp
+}
+
+// txnRequest serves an exec or commit. One that carries the begin
+// passes the serve gate, begins the transaction at its MinVersion and
+// registers it before running the request on it.
+func (s *ReplicaServer) txnRequest(req *replicaRequest, resp *replicaResponse) *replicaResponse {
+	var wt *wireTxn
+	if req.Begin {
+		if g := s.opts.gate; g != nil {
+			if err := g(); err != nil {
+				return resp.fail(err)
+			}
+		}
+		tx, err := s.rep.BeginCtx(req.MinVersion, metrics.NewTxnTimer(), req.Trace)
+		if err != nil {
+			return resp.fail(err)
+		}
+		wt = s.register(tx)
+		resp.TxnID = wt.id
+		resp.Snapshot = tx.Snapshot()
+	} else {
+		var ok bool
+		if wt, ok = s.getTxn(req.TxnID); !ok {
+			return resp.fail(replica.ErrTxnDone)
+		}
+	}
+	wt.mu.Lock()
+	defer wt.mu.Unlock()
+	if wt.done {
+		return resp.fail(replica.ErrTxnDone)
+	}
+	if req.Op == "commit" {
+		return s.commit(wt, req, resp)
+	}
+	return s.exec(wt, req, resp)
+}
+
+// exec runs one statement on wt.
+// caller holds wt.mu
+func (s *ReplicaServer) exec(wt *wireTxn, req *replicaRequest, resp *replicaResponse) *replicaResponse {
+	p, err := s.prepared(req.SQL)
+	if err != nil {
+		return resp.fail(err)
+	}
+	// String parameters can land in stored rows; copy them out of the
+	// request frame so a row never pins it.
+	for i, v := range req.Params {
+		if str, ok := v.(string); ok {
+			req.Params[i] = strings.Clone(str)
+		}
+	}
+	res, err := wt.tx.Exec(p, req.Params...)
+	if err != nil {
+		if errors.Is(err, replica.ErrEarlyAbort) || errors.Is(err, replica.ErrCrashed) {
+			wt.done = true
+			s.dropTxn(wt.id)
+		}
+		return resp.fail(err)
+	}
+	resp.Result = res
+	return resp
+}
+
+// commit ends wt through the consistency mode's commit path.
+// caller holds wt.mu
+func (s *ReplicaServer) commit(wt *wireTxn, req *replicaRequest, resp *replicaResponse) *replicaResponse {
+	wt.done = true
+	s.dropTxn(wt.id)
+	touched := wt.tx.Touched()
+	cres, err := wt.tx.Commit(req.Eager)
+	if err != nil {
+		return resp.fail(err)
+	}
+	resp.Commit = cres
+	resp.Snapshot = wt.tx.Snapshot()
+	resp.Touched = touched
 	return resp
 }
 

@@ -10,10 +10,13 @@
 //   - certifier link (CertServer / CertClient): replicas certify
 //     writesets, stream refreshes, acknowledge applies, and fetch
 //     recovery history;
-//   - replica link (ReplicaServer / replicaConn): the gateway begins,
-//     executes, and commits transactions on a replica;
+//   - replica link (ReplicaServer / remoteReplica): the gateway executes
+//     and commits transactions on a replica;
 //   - client link (Gateway / Client): applications open sessions and
 //     run named transactions.
+//
+// Neither transaction protocol has a begin op: a transaction's first
+// exec, or its commit if it runs no statement, carries the begin.
 //
 // Every frame type declares a field table; fields travel as tagged
 // values, so a peer skips fields it does not know and zero-fills ones

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 	"unsafe"
@@ -24,6 +25,8 @@ type deployment struct {
 	clients  []*CertClient
 	replicas []*replica.Replica
 	gateway  *Gateway
+	// refuse makes every replica refuse begins at its serve gate.
+	refuse atomic.Bool
 }
 
 func loadKV(t testing.TB, eng *storage.Engine) {
@@ -47,8 +50,9 @@ func loadKV(t testing.TB, eng *storage.Engine) {
 	}
 }
 
-// newDeployment starts the topology; opts apply to every dialing
-// endpoint (the replicas' certifier clients and the gateway).
+// newDeployment starts the topology and returns once every replica's
+// refresh stream is up; opts apply to every dialing endpoint (the
+// replicas' certifier clients and the gateway).
 func newDeployment(t testing.TB, n int, mode core.Mode, opts ...Option) *deployment {
 	t.Helper()
 	d := &deployment{}
@@ -69,7 +73,12 @@ func newDeployment(t testing.TB, n int, mode core.Mode, opts ...Option) *deploym
 		loadKV(t, eng)
 		cc := DialCertifier(d.certSrv.Addr(), i, eng.Version(), opts...)
 		rep := replica.New(replica.Config{ID: i, EarlyCert: true}, eng, cc)
-		srv, err := ServeReplica(rep, "127.0.0.1:0")
+		srv, err := ServeReplica(rep, "127.0.0.1:0", WithGate(func() error {
+			if d.refuse.Load() {
+				return ErrUnavailable
+			}
+			return nil
+		}))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -95,6 +104,14 @@ func newDeployment(t testing.TB, n int, mode core.Mode, opts ...Option) *deploym
 		}
 		d.certSrv.Close()
 	})
+	// Readiness barrier: every replica's subscription is attached
+	// before the first transaction, so ESC's wait set (the replicas
+	// attached when a commit is certified) is the whole deployment.
+	for i, cc := range d.clients {
+		if !cc.WaitReady(10 * time.Second) {
+			t.Fatalf("replica %d's refresh stream not up", i)
+		}
+	}
 	return d
 }
 

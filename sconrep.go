@@ -368,7 +368,10 @@ func (t *Tx) Commit() error {
 // Abort discards the transaction.
 func (t *Tx) Abort() { t.tx.Abort() }
 
-// Snapshot returns the database version the transaction reads.
+// Snapshot returns the database version the transaction reads. A DB
+// runs in process, where Begin fixes the snapshot. (Over the TCP
+// deployment the begin rides the first statement instead, so there the
+// snapshot is known only once that statement has run.)
 func (t *Tx) Snapshot() uint64 { return t.tx.Snapshot() }
 
 // Errors surfaced by Commit/Exec.
